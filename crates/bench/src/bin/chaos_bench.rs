@@ -18,7 +18,6 @@
 
 use std::time::Instant;
 
-use shift_bnn::pool;
 use shift_bnn::sweep::json::Json;
 use shift_bnn_bench::chaos_views::{
     chaos_request_count, chaos_summary_json, grid_availability, run_chaos_grid,
@@ -37,7 +36,7 @@ fn parse_args() -> Args {
     // workers per shard so the byte-identity assertion exercises the pooled scheduler.
     let mut args = Args {
         reduced: false,
-        workers: pool::default_workers().max(2),
+        workers: bnn_pool::default_workers().max(2),
         out: "BENCH_chaos.json".to_string(),
         summary: String::new(),
     };

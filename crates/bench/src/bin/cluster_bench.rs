@@ -15,7 +15,6 @@
 
 use std::time::Instant;
 
-use shift_bnn::pool;
 use shift_bnn::sweep::json::Json;
 use shift_bnn_bench::cluster_views::{
     cluster_request_count, cluster_summary_json, run_cluster_grid, run_cluster_stress,
@@ -35,7 +34,7 @@ fn parse_args() -> Args {
     // workers per shard so the byte-identity assertion exercises the pooled scheduler.
     let mut args = Args {
         reduced: false,
-        workers: pool::default_workers().max(2),
+        workers: bnn_pool::default_workers().max(2),
         out: "BENCH_cluster.json".to_string(),
         summary: String::new(),
     };

@@ -15,7 +15,6 @@
 use std::time::Instant;
 
 use bnn_serve::ServeMode;
-use shift_bnn::pool;
 use shift_bnn::sweep::json::Json;
 use shift_bnn_bench::moment_views::{
     entropy_deviation_vs_mc, mean_deviation_vs_mc, moment_configs, moment_request_count,
@@ -35,7 +34,7 @@ fn parse_args() -> Args {
     // workers so the byte-identity assertion always exercises the multi-threaded scheduler.
     let mut args = Args {
         reduced: false,
-        workers: pool::default_workers().max(2),
+        workers: bnn_pool::default_workers().max(2),
         out: "BENCH_moment.json".to_string(),
         summary: String::new(),
     };

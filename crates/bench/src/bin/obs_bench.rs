@@ -19,7 +19,6 @@
 
 use std::time::Instant;
 
-use shift_bnn::pool;
 use shift_bnn::sweep::json::Json;
 use shift_bnn_bench::obs_views::{obs_summary_json, run_obs_grid};
 use shift_bnn_bench::{num, print_table};
@@ -36,7 +35,7 @@ fn parse_args() -> Args {
     // workers per shard so the worker-invariance assertion exercises the pooled scheduler.
     let mut args = Args {
         reduced: false,
-        workers: pool::default_workers().max(2),
+        workers: bnn_pool::default_workers().max(2),
         out: "BENCH_obs.json".to_string(),
         summary: String::new(),
     };

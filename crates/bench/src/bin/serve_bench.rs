@@ -14,7 +14,6 @@
 
 use std::time::Instant;
 
-use shift_bnn::pool;
 use shift_bnn::sweep::json::Json;
 use shift_bnn_bench::serve_views::{
     run_serve_grid, serve_configs, serve_request_count, serve_summary_json, speedup_vs_unbatched,
@@ -33,7 +32,7 @@ fn parse_args() -> Args {
     // so the byte-identity assertion always exercises the multi-threaded scheduler.
     let mut args = Args {
         reduced: false,
-        workers: pool::default_workers().max(2),
+        workers: bnn_pool::default_workers().max(2),
         out: "BENCH_serve.json".to_string(),
         summary: String::new(),
     };

@@ -18,7 +18,7 @@ use std::time::Instant;
 use bnn_arch::EnergyModel;
 use shift_bnn::sweep::json::Json;
 use shift_bnn::sweep::summary::SweepSummary;
-use shift_bnn::sweep::{pool, run_sweep, SweepGrid, SweepReport};
+use shift_bnn::sweep::{run_sweep, SweepGrid, SweepReport};
 use shift_bnn_bench::{num, print_table};
 
 struct Args {
@@ -34,7 +34,7 @@ fn parse_args() -> Args {
     // then bounded by the hardware, and recorded as such).
     let mut args = Args {
         reduced: false,
-        workers: pool::default_workers().max(2),
+        workers: bnn_pool::default_workers().max(2),
         out: "BENCH_sweep.json".to_string(),
         summary: "BENCH_sweep_summary.json".to_string(),
     };

@@ -469,7 +469,7 @@ impl ServeProbe {
     /// Builds the probe over the B-LeNet serving proxy (deterministic).
     pub fn new() -> ServeProbe {
         let spec = ModelSpec::lenet(7);
-        let replica = ServeReplica::new(&spec);
+        let replica = ServeReplica::build(&EngineSpec::new(spec.clone()));
         let request = InferRequest {
             id: 0,
             arrival_tick: 0,
@@ -526,10 +526,8 @@ impl MomentProbe {
             samples: 8, // ignored by the analytic backend — kept to mirror ServeProbe
             seed: 1,
         };
-        let replica = ServeReplica::from_source_with_mode(
-            &bnn_serve::ModelSource::Spec(spec),
-            bnn_serve::ServeMode::Moment,
-        );
+        let replica =
+            ServeReplica::build(&EngineSpec::new(spec).mode(bnn_serve::ServeMode::Moment));
         let response = InferResponse {
             id: 0,
             samples: 0,
@@ -585,7 +583,7 @@ impl TracedServeProbe {
     /// steady-state window the probe is asked to run (capacity is never grown afterwards).
     pub fn new() -> TracedServeProbe {
         let spec = ModelSpec::lenet(7);
-        let replica = ServeReplica::new(&spec);
+        let replica = ServeReplica::build(&EngineSpec::new(spec.clone()));
         let request = InferRequest {
             id: 0,
             arrival_tick: 0,
@@ -672,7 +670,9 @@ impl ObsOverheadBench {
 pub fn run_obs_overhead_bench(reps: usize, requests: usize) -> ObsOverheadBench {
     let spec = ModelSpec::lenet(7);
     let trace = WorkloadSpec::uniform(requests, 8, 4, 13).generate(&spec);
-    let engine = InferenceEngine::new(spec, BatchPolicy { max_batch: 8, max_wait_ticks: 16 }, 1);
+    let engine = InferenceEngine::build(
+        EngineSpec::new(spec).policy(BatchPolicy { max_batch: 8, max_wait_ticks: 16 }).workers(1),
+    );
     let untraced = engine.run(&trace);
     let mut recorder = TraceRecorder::new();
     let traced = engine.run_traced(&trace, &[], &mut recorder);

@@ -17,7 +17,8 @@
 
 use bnn_models::ModelKind;
 use bnn_serve::{
-    BatchPolicy, InferenceEngine, ModelSource, ModelSpec, ServeMode, ServeRunReport, WorkloadSpec,
+    BatchPolicy, EngineSpec, InferenceEngine, ModelSource, ModelSpec, ServeMode, ServeRunReport,
+    WorkloadSpec,
 };
 use shift_bnn::sweep::json::Json;
 
@@ -103,11 +104,11 @@ pub fn run_moment_grid(reduced: bool, workers: usize) -> Vec<(MomentConfig, Serv
         .map(|config| {
             let spec = config.spec();
             let trace = config.workload(requests).generate(&spec);
-            let engine = InferenceEngine::from_source_with_mode(
-                ModelSource::Spec(spec),
-                config.mode,
-                moment_policy(),
-                workers,
+            let engine = InferenceEngine::build(
+                EngineSpec::new(ModelSource::Spec(spec))
+                    .mode(config.mode)
+                    .policy(moment_policy())
+                    .workers(workers),
             );
             (config, engine.run(&trace))
         })

@@ -7,7 +7,9 @@
 //! Wall-clock throughput never enters the summary.
 
 use bnn_models::ModelKind;
-use bnn_serve::{BatchPolicy, InferenceEngine, ModelSpec, ServeRunReport, WorkloadSpec};
+use bnn_serve::{
+    BatchPolicy, EngineSpec, InferenceEngine, ModelSpec, ServeRunReport, WorkloadSpec,
+};
 use shift_bnn::sweep::json::Json;
 
 /// Weight seed of the frozen posteriors every serve benchmark builds.
@@ -91,7 +93,10 @@ pub fn run_serve_grid(reduced: bool, workers: usize) -> Vec<(ServeConfig, ServeR
         .map(|config| {
             let spec = config.spec();
             let trace = config.workload(requests).generate(&spec);
-            let report = InferenceEngine::new(spec, config.policy, workers).run(&trace);
+            let report = InferenceEngine::build(
+                EngineSpec::new(spec).policy(config.policy).workers(workers),
+            )
+            .run(&trace);
             (config, report)
         })
         .collect()

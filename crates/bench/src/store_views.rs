@@ -14,7 +14,8 @@
 use bnn_models::zoo::TrainableProxy;
 use bnn_models::ModelKind;
 use bnn_serve::{
-    BatchPolicy, InferenceEngine, ModelSource, ServeRunReport, VersionSwap, WorkloadSpec,
+    BatchPolicy, EngineSpec, InferenceEngine, ModelSource, ServeRunReport, VersionSwap,
+    WorkloadSpec,
 };
 use bnn_store::{Checkpoint, ModelRegistry};
 use bnn_train::data::SyntheticDataset;
@@ -224,8 +225,11 @@ fn bench_family(registry: &ModelRegistry, kind: ModelKind, reps: usize) -> Store
         )
         .expect("validated checkpoint"),
     );
-    let memory_run = InferenceEngine::from_source(in_memory, policy, 1).run(&trace);
-    let disk_run = InferenceEngine::from_source(v1_source.clone(), policy, 2).run(&trace);
+    let memory_run =
+        InferenceEngine::build(EngineSpec::new(in_memory).policy(policy).workers(1)).run(&trace);
+    let disk_run =
+        InferenceEngine::build(EngineSpec::new(v1_source.clone()).policy(policy).workers(2))
+            .run(&trace);
     assert_eq!(
         memory_run.responses_json(),
         disk_run.responses_json(),
@@ -234,14 +238,17 @@ fn bench_family(registry: &ModelRegistry, kind: ModelKind, reps: usize) -> Store
 
     let swaps = [VersionSwap { at_tick: STORE_SWAP_TICK, source: v2_source.clone() }];
     let swapped: ServeRunReport =
-        InferenceEngine::from_source(v1_source.clone(), policy, 2).run_with_swaps(&trace, &swaps);
+        InferenceEngine::build(EngineSpec::new(v1_source.clone()).policy(policy).workers(2))
+            .run_with_swaps(&trace, &swaps);
     let boundary = swapped
         .batches
         .iter()
         .find(|b| b.version == 1)
         .expect("the swap must land within the store trace");
-    let v1_run = InferenceEngine::from_source(v1_source, policy, 2).run(&trace);
-    let v2_run = InferenceEngine::from_source(v2_source, policy, 2).run(&trace);
+    let v1_run =
+        InferenceEngine::build(EngineSpec::new(v1_source).policy(policy).workers(2)).run(&trace);
+    let v2_run =
+        InferenceEngine::build(EngineSpec::new(v2_source).policy(policy).workers(2)).run(&trace);
 
     StoreBenchResult {
         name,

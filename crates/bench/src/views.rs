@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use shift_bnn::compare::geometric_mean;
 use shift_bnn::designs::DesignKind;
 use shift_bnn::scalability::{ScalabilityPoint, FIG13_SAMPLE_COUNTS};
-use shift_bnn::sweep::{pool, SweepReport};
+use shift_bnn::sweep::SweepReport;
 
 /// The sample counts of Fig. 2's BNN-vs-DNN comparison.
 pub const FIG02_SAMPLE_COUNTS: [usize; 5] = [1, 8, 16, 24, 32];
@@ -395,7 +395,7 @@ fn fig09_arm(strategy: EpsilonStrategy, epochs: usize) -> (Vec<(EpochMetrics, f6
 /// parallel on the sweep engine's worker pool.
 pub fn fig09(epochs: usize) -> Fig09 {
     let strategies = [EpsilonStrategy::StoreReplay, EpsilonStrategy::LfsrRetrieve];
-    let mut arms = pool::run_indexed(2, 2, |i| fig09_arm(strategies[i], epochs));
+    let mut arms = bnn_pool::run_indexed(2, 2, |i| fig09_arm(strategies[i], epochs));
     let (shift_metrics, shift_stored) = arms.pop().expect("shift arm");
     let (baseline_metrics, baseline_stored) = arms.pop().expect("baseline arm");
     let mut identical = true;
@@ -544,12 +544,15 @@ pub struct Table1 {
 pub fn table1() -> Table1 {
     let families = table1_families();
     let precisions = table1_precisions();
-    let cells =
-        pool::run_indexed(families.len() * precisions.len(), pool::default_workers(), |i| {
+    let cells = bnn_pool::run_indexed(
+        families.len() * precisions.len(),
+        bnn_pool::default_workers(),
+        |i| {
             let family = &families[i / precisions.len()];
             let (_, precision) = precisions[i % precisions.len()];
             table1_cell(family, precision, 100 + (i / precisions.len()) as u64)
-        });
+        },
+    );
     let rows = families
         .iter()
         .enumerate()
@@ -569,7 +572,7 @@ mod tests {
     use shift_bnn::sweep::{run_sweep, SweepGrid};
 
     fn sweep() -> SweepReport {
-        run_sweep(&SweepGrid::paper_figures(), pool::default_workers(), &EnergyModel::default())
+        run_sweep(&SweepGrid::paper_figures(), bnn_pool::default_workers(), &EnergyModel::default())
     }
 
     #[test]

@@ -2,10 +2,10 @@
 
 use crate::designs::DesignKind;
 use crate::evaluate::{evaluate_gpu, evaluate_with, DesignEvaluation};
-use crate::sweep::pool::default_workers;
 use crate::sweep::{run_sweep, SweepGrid, SweepPrecision};
 use bnn_arch::EnergyModel;
 use bnn_models::ModelConfig;
+use bnn_pool::default_workers;
 
 /// Evaluations of every requested design on one model/workload.
 #[derive(Debug, Clone, PartialEq)]

@@ -17,9 +17,6 @@
 //! * [`mod@evaluate`] — run a model's training workload through a design (or the GPU model);
 //! * [`compare`] — multi-design comparisons (energy, speedup, GOPS/W, DRAM accesses, footprint);
 //! * [`scalability`] — sample-count sweeps;
-//! * [`pool`] — the shared work-stealing thread pool (index-ordered results, optional
-//!   per-worker state) that both the sweep engine and the serving engine (`bnn-serve`)
-//!   schedule on;
 //! * [`sweep`] — the design-space sweep engine: the (design × model × samples × precision)
 //!   grid as independent jobs on the pool, aggregated into one deterministically-serialized
 //!   [`sweep::SweepReport`] that every figure is a view of.
@@ -46,7 +43,6 @@
 pub mod compare;
 pub mod designs;
 pub mod evaluate;
-pub mod pool;
 pub mod scalability;
 pub mod spu;
 pub mod sweep;
@@ -54,7 +50,6 @@ pub mod sweep;
 pub use compare::{compare_all_designs, DesignComparison};
 pub use designs::DesignKind;
 pub use evaluate::{evaluate, evaluate_gpu, DesignEvaluation};
-pub use pool::{run_indexed, run_indexed_with};
 pub use scalability::{sweep_samples, ScalabilityPoint, FIG13_SAMPLE_COUNTS};
 pub use spu::SampleProcessingUnit;
 pub use sweep::summary::SweepSummary;

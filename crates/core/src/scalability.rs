@@ -1,10 +1,10 @@
 //! Sample-size scalability sweeps — the data behind Fig. 13.
 
 use crate::designs::DesignKind;
-use crate::sweep::pool::default_workers;
 use crate::sweep::{run_sweep, SweepGrid, SweepPrecision};
 use bnn_arch::EnergyModel;
 use bnn_models::ModelConfig;
+use bnn_pool::default_workers;
 
 /// Metrics at one sample count of a scalability sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -7,7 +7,7 @@
 //! * [`SweepGrid`] enumerates the cross product into independent [`SweepPoint`] jobs with a
 //!   stable grid index;
 //! * [`run_sweep`] executes the points on a work-stealing pool of scoped threads
-//!   ([`pool`]) and aggregates the simulator's [`TrainingRunReport`]s into a [`SweepReport`],
+//!   ([`bnn_pool`]) and aggregates the simulator's [`TrainingRunReport`]s into a [`SweepReport`],
 //!   ordered by grid index — *never* by completion order, so a 1-worker run and an N-worker run
 //!   serialize to byte-identical JSON;
 //! * [`json`] provides the deterministic hand-rolled serializer and parser (`serde` is
@@ -35,10 +35,6 @@
 
 pub mod json;
 pub mod summary;
-
-// The work-stealing pool started here and moved to the crate root when the serving engine
-// (`bnn-serve`) became its second client; the old `sweep::pool` path stays valid.
-pub use crate::pool;
 
 use crate::compare::DesignComparison;
 use crate::designs::DesignKind;
@@ -344,7 +340,7 @@ impl SweepReport {
 /// reports in grid order.
 pub fn run_sweep(grid: &SweepGrid, workers: usize, energy: &EnergyModel) -> SweepReport {
     let points = grid.points();
-    let reports = pool::run_indexed(points.len(), workers, |i| points[i].run(energy));
+    let reports = bnn_pool::run_indexed(points.len(), workers, |i| points[i].run(energy));
     let records = points
         .into_iter()
         .zip(reports)
@@ -354,9 +350,9 @@ pub fn run_sweep(grid: &SweepGrid, workers: usize, energy: &EnergyModel) -> Swee
 }
 
 /// The shared sweep every figure binary views: [`SweepGrid::paper_figures`] under the default
-/// energy model, executed on [`pool::default_workers`] threads.
+/// energy model, executed on [`bnn_pool::default_workers`] threads.
 pub fn paper_sweep() -> SweepReport {
-    run_sweep(&SweepGrid::paper_figures(), pool::default_workers(), &EnergyModel::default())
+    run_sweep(&SweepGrid::paper_figures(), bnn_pool::default_workers(), &EnergyModel::default())
 }
 
 #[cfg(test)]

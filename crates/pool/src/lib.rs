@@ -1,11 +1,10 @@
 //! A small work-stealing pool of scoped `std::thread` workers.
 //!
 //! The container this workspace builds in has no crates.io access (no `rayon`, no
-//! `crossbeam`), so the workspace brings its own scheduler. It began life inside the
-//! design-space sweep engine of `shift-bnn` (which keeps `shift_bnn::pool` and `sweep::pool`
-//! re-exports) and is now a bottom-of-the-stack crate because the tensor kernels
-//! (`bnn-tensor`, for M-split parallel GEMM) and the serving engine (`bnn-serve`, for batched
-//! Monte-Carlo inference jobs) share it. It is deliberately tiny:
+//! `crossbeam`), so the workspace brings its own scheduler. It is a bottom-of-the-stack crate
+//! because the design-space sweep engine of `shift-bnn`, the tensor kernels (`bnn-tensor`, for
+//! M-split parallel GEMM) and the serving engine (`bnn-serve`, for batched Monte-Carlo
+//! inference jobs) all import it directly. It is deliberately tiny:
 //!
 //! * jobs are the indices `0..jobs` of a known-size batch — exactly what a design-space grid
 //!   enumeration, a coalesced inference workload, or a row-partitioned GEMM produces;

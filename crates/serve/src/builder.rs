@@ -1,13 +1,10 @@
-//! Declarative engine construction: one [`EngineSpec`] instead of a constructor ladder.
+//! Declarative engine construction: one [`EngineSpec`] builds every engine and replica.
 //!
-//! PR 8 collapses the three-step `new` / `from_source` / `from_source_with_mode` ladders of
-//! [`InferenceEngine`](crate::InferenceEngine) and [`ServeReplica`](crate::ServeReplica) into
-//! a single builder. A spec names everything an engine needs up front — posterior source,
-//! serving backend, batching policy, pool workers, kernel tier and the fused-sampling switch
-//! — and [`InferenceEngine::build`](crate::InferenceEngine::build) /
-//! [`ServeReplica::build`](crate::ServeReplica::build) consume it. The old constructors
-//! remain as thin shims over default specs (every committed golden test keeps passing
-//! unmodified), but new call sites should write:
+//! A spec names everything an engine needs up front — posterior source, serving backend,
+//! batching policy, pool workers, kernel tier and the fused-sampling switch — and
+//! [`InferenceEngine::build`](crate::InferenceEngine::build) /
+//! [`ServeReplica::build`](crate::ServeReplica::build) consume it; they are the only
+//! constructors of either type:
 //!
 //! ```
 //! use bnn_serve::{BatchPolicy, EngineSpec, InferenceEngine, ModelSpec, ServeMode};
@@ -21,9 +18,8 @@
 //! assert_eq!(engine.workers(), 2);
 //! ```
 //!
-//! The spec also settles the old by-ref-vs-by-value [`ModelSource`] inconsistency
-//! (`InferenceEngine` consumed sources, `ServeReplica` borrowed them): a spec takes anything
-//! `Into<ModelSource>` **by value** exactly once, and everything downstream borrows the spec.
+//! A spec takes anything `Into<ModelSource>` **by value** exactly once, and everything
+//! downstream borrows the spec.
 
 use crate::batcher::BatchPolicy;
 use crate::spec::{ModelSource, ServeMode};
@@ -33,8 +29,7 @@ use bnn_tensor::{KernelConfig, KernelTier};
 /// by [`InferenceEngine::build`](crate::InferenceEngine::build) and
 /// [`ServeReplica::build`](crate::ServeReplica::build).
 ///
-/// Defaults mirror the historical constructors: Monte-Carlo backend, unbatched policy, one
-/// worker, the process-default [`KernelTier`], one GEMM worker, fused sampling **on** (the
+/// Defaults: Monte-Carlo backend, unbatched policy, one worker, the process-default [`KernelTier`], one GEMM worker, fused sampling **on** (the
 /// fused path is bit-identical to per-sample execution, so enabling it changes speed, never
 /// bytes — pinned by `tests/fused_identity.rs`).
 #[derive(Debug, Clone)]
@@ -80,9 +75,10 @@ impl EngineSpec {
         self
     }
 
-    /// Forces a GEMM kernel tier for every replica (default: the process tier,
+    /// Forces a GEMM kernel tier for every Monte-Carlo replica (default: the process tier,
     /// [`KernelTier::default`]). Bit-exact tiers cannot change any response;
-    /// [`KernelTier::FastMath`] can, and is never a default.
+    /// [`KernelTier::FastMath`] can, and is never a default. [`ServeMode::Moment`] replicas
+    /// ignore it: their mean/variance passes run the untiered GEMM.
     pub fn kernel_tier(mut self, tier: KernelTier) -> EngineSpec {
         self.kernel.tier = tier;
         self

@@ -22,37 +22,34 @@
 //!
 //! # The determinism argument
 //!
-//! Everything above runs in the simulated tick domain established by PR 2–5: arrival ticks
-//! come from the trace, batch formation follows [`crate::batcher::plan_batches`] semantics,
-//! and per-shard service timing replays [`InferenceEngine::run_with_swaps`]'s device
-//! serialization **exactly** (same `BATCH_OVERHEAD_TICKS` + ε-volume pricing, same
-//! version-at-service-start swap rule). Routing, shedding, escalation and scaling decisions
-//! are pure functions of (trace, config, swap schedule); responses are pure functions of
-//! (request, posterior, `S`). No wall clock is read anywhere on the result path, so an
-//! N-shard × M-worker cluster run serializes **byte-identically** on every machine, at every
-//! worker count — and each shard's slice of the run equals a standalone single-shard run over
-//! the sub-trace the router handed it (`tests/cluster_determinism.rs` pins both).
+//! Everything above runs in the simulated tick domain: arrival ticks come from the trace, and
+//! every shard times its batches on its own [`BatchClock`](crate::batcher) — the same state
+//! machine [`InferenceEngine::run_with_swaps`] times a whole trace on (same coalescing, same
+//! `BATCH_OVERHEAD_TICKS` + ε-volume pricing, same version-at-service-start swap rule).
+//! Routing, shedding, escalation and scaling decisions are pure functions of (trace, config,
+//! swap schedule); responses are pure functions of (request, posterior, `S`). No wall clock is
+//! read anywhere on the result path, so an N-shard × M-worker cluster run serializes
+//! **byte-identically** on every machine, at every worker count — and each shard's slice of
+//! the run equals a standalone single-shard run over the sub-trace the router handed it
+//! (`tests/cluster_determinism.rs` pins both).
 //!
-//! Internally a run has two phases. Phase A (the *plan*) walks arrivals in trace order
-//! through incremental per-shard simulators and makes every decision; it never touches a
-//! network, so it scales to million-request traces ([`Cluster::plan`] exposes it directly).
-//! Phase B hands each shard's admitted sub-trace to that shard's own [`InferenceEngine`] and
-//! computes real responses on its pool; the engine's batch timing is asserted equal to the
-//! plan's batch for batch, so the report's timing and its answers can never drift apart.
+//! Internally a run has two phases. Phase A (the *plan*) walks arrivals in trace order,
+//! queries each shard's clock for backlog and completion estimates, and makes every decision;
+//! it never touches a network, so it scales to million-request traces ([`Cluster::plan`]
+//! exposes it directly). Phase B hands each shard's admitted requests and the batches its
+//! clock closed to that shard's own [`InferenceEngine`], which executes exactly those batches
+//! on its pool — the report's timing and its answers come from one clock.
 
-use crate::batcher::BatchPolicy;
+use crate::batcher::{BatchClock, BatchPolicy};
 use crate::builder::EngineSpec;
-use crate::engine::BATCH_OVERHEAD_TICKS;
-use crate::engine::{
-    request_service_cost, slow_multiplier, InferenceEngine, ServeRunReport, Slowdown, VersionSwap,
-};
+use crate::engine::{BatchStat, InferenceEngine, ServeRunReport, VersionSwap};
 use crate::faults::{DegradeEvent, DegradeLevel, FaultPlan, FaultTimeline, FaultTrace, RetryEvent};
 use crate::request::{InferRequest, InferResponse};
 use crate::spec::{ModelSource, ServeMode};
 use bnn_obs::{export, Event, NullRecorder, Recorder};
 use shift_bnn::sweep::json::{fnv1a_hex, Json, ToJson};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// How the router picks a shard for each arriving request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,8 +137,10 @@ pub struct ClusterConfig {
 impl ClusterConfig {
     /// Mirrors an [`EngineSpec`] into a cluster configuration: every shard replicates the
     /// spec's posterior source and runs the spec's backend, batching policy and worker count.
-    /// Cluster-only knobs start at their neutral values — no deadline, round-robin routing,
-    /// no autoscaling — and remain plain public fields for struct-update customization.
+    /// The spec's kernel tier, GEMM worker budget and fused-sampling switch are dropped:
+    /// shard engines build at their defaults. Cluster-only knobs start at their neutral
+    /// values — no deadline, round-robin routing, no autoscaling — and remain plain public
+    /// fields for struct-update customization.
     ///
     /// ```
     /// use bnn_serve::{ClusterConfig, EngineSpec, ModelSpec, RoutingPolicy};
@@ -300,159 +299,6 @@ pub enum RequestOutcome {
 pub use crate::stats::latency_percentile;
 
 // ---------------------------------------------------------------------------------------------
-// Phase A: the incremental per-shard simulator
-// ---------------------------------------------------------------------------------------------
-
-/// One planned batch of a shard simulator (global request indices).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SimBatch {
-    close_tick: u64,
-    start_tick: u64,
-    end_tick: u64,
-    members: Vec<usize>,
-    version: usize,
-}
-
-/// An incremental replay of one shard's batcher + device timing, mirroring
-/// [`crate::batcher::plan_batches`] and [`InferenceEngine::run_with_swaps`] decision for
-/// decision so phase B's engine reproduces its batches exactly.
-struct ShardSim {
-    policy: BatchPolicy,
-    /// ε per sample of version 0, then of each scheduled swap, in order.
-    epsilon_counts: Vec<usize>,
-    /// The serving backend pricing this shard's batches (engine-wide, swap-invariant).
-    mode: ServeMode,
-    /// Swap activation ticks (parallel to `epsilon_counts[1..]`).
-    swap_ticks: Vec<u64>,
-    /// Fault-injected slow windows on this shard's device (empty outside fault plans).
-    slowdowns: Vec<Slowdown>,
-    open: Vec<(usize, usize)>, // (global request index, effective sample count)
-    open_deadline: u64,
-    device_free: u64,
-    batches: Vec<SimBatch>,
-    /// Closed-but-incomplete batches as (end_tick, size), popped as queried time passes.
-    in_flight: VecDeque<(u64, usize)>,
-    in_flight_requests: usize,
-}
-
-impl ShardSim {
-    fn new(
-        policy: BatchPolicy,
-        mode: ServeMode,
-        base_epsilon: usize,
-        swaps: &[VersionSwap],
-        slowdowns: &[Slowdown],
-    ) -> ShardSim {
-        let mut epsilon_counts = vec![base_epsilon];
-        epsilon_counts.extend(swaps.iter().map(|s| s.source.epsilon_count()));
-        ShardSim {
-            policy,
-            epsilon_counts,
-            mode,
-            swap_ticks: swaps.iter().map(|s| s.at_tick).collect(),
-            slowdowns: slowdowns.to_vec(),
-            open: Vec::new(),
-            open_deadline: 0,
-            device_free: 0,
-            batches: Vec::new(),
-            in_flight: VecDeque::new(),
-            in_flight_requests: 0,
-        }
-    }
-
-    /// Closes the open batch at `close_tick`, replaying the engine's device serialization:
-    /// service starts at `max(close, device_free)`, the active version is decided at that
-    /// start tick, and the batch pays overhead plus its members' ε volume.
-    fn close_open(&mut self, close_tick: u64) {
-        let start_tick = close_tick.max(self.device_free);
-        let version = self.swap_ticks.iter().take_while(|&&at| at <= start_tick).count();
-        let service: u64 = BATCH_OVERHEAD_TICKS
-            + self
-                .open
-                .iter()
-                .map(|&(_, samples)| {
-                    request_service_cost(self.mode, self.epsilon_counts[version], samples)
-                })
-                .sum::<u64>();
-        let end_tick = start_tick + slow_multiplier(&self.slowdowns, start_tick) * service;
-        self.device_free = end_tick;
-        let members: Vec<usize> = self.open.drain(..).map(|(i, _)| i).collect();
-        self.in_flight.push_back((end_tick, members.len()));
-        self.in_flight_requests += members.len();
-        self.batches.push(SimBatch { close_tick, start_tick, end_tick, members, version });
-    }
-
-    /// Advances simulated time to `t`: a batch whose wait deadline has passed closes at that
-    /// deadline, exactly when `plan_batches` would close it on the next arrival.
-    fn advance_to(&mut self, t: u64) {
-        if !self.open.is_empty() && t > self.open_deadline {
-            let deadline = self.open_deadline;
-            self.close_open(deadline);
-        }
-    }
-
-    /// Backlog at tick `t`: requests admitted but not yet completed (waiting in the open
-    /// batch, queued behind the device, or in service). Callers must query with
-    /// non-decreasing `t`.
-    fn backlog(&mut self, t: u64) -> usize {
-        self.advance_to(t);
-        while let Some(&(end, size)) = self.in_flight.front() {
-            if end > t {
-                break;
-            }
-            self.in_flight_requests -= size;
-            self.in_flight.pop_front();
-        }
-        self.open.len() + self.in_flight_requests
-    }
-
-    /// Admission-time completion estimate for a request of `samples` arriving at `t`: the
-    /// device drains its current queue, then one fresh batch (overhead + this request's ε
-    /// volume) runs. Ignores co-members the open batch would contribute, so it is a lower
-    /// bound used only to shed requests that *cannot* make their deadline.
-    fn estimate_end(&self, t: u64, samples: usize) -> u64 {
-        let start = t.max(self.device_free);
-        let version = self.swap_ticks.iter().take_while(|&&at| at <= start).count();
-        start
-            + slow_multiplier(&self.slowdowns, start)
-                * (BATCH_OVERHEAD_TICKS
-                    + request_service_cost(self.mode, self.epsilon_counts[version], samples))
-    }
-
-    /// Joins the open batch at `t`, mirroring `plan_batches`: an empty batch opens with a
-    /// fresh wait deadline; a full batch closes immediately at the joining arrival.
-    fn admit(&mut self, index: usize, samples: usize, t: u64) {
-        self.advance_to(t);
-        if self.open.is_empty() {
-            self.open_deadline = t + self.policy.max_wait_ticks;
-        }
-        self.open.push((index, samples));
-        if self.open.len() == self.policy.max_batch {
-            self.close_open(t);
-        }
-    }
-
-    /// Evicts the open (not yet dispatched) batch at crash tick `t` — the fail-stop boundary
-    /// of [`crate::faults::FaultEvent::ShardDown`]: a batch whose wait deadline already
-    /// passed closed (committed to the device) *before* the crash and completes normally;
-    /// whatever is still open at `t` never dispatches and is returned for failover. The
-    /// evicted members are, by construction, the exact tail of this shard's admission order.
-    fn evict_open(&mut self, t: u64) -> Vec<(usize, usize)> {
-        self.advance_to(t);
-        std::mem::take(&mut self.open)
-    }
-
-    /// Closes the trailing batch at its deadline (the open-loop "no end-of-input oracle"
-    /// rule `plan_batches` ends with).
-    fn finish(&mut self) {
-        if !self.open.is_empty() {
-            let deadline = self.open_deadline;
-            self.close_open(deadline);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------------------------
 // Phase A output: the plan
 // ---------------------------------------------------------------------------------------------
 
@@ -507,23 +353,59 @@ impl ClusterPlan {
     }
 }
 
-/// Phase-A working state shared by `plan` and `run`.
+/// Phase A's decisions, plus the work phase B executes.
 struct Routing {
-    sims: Vec<ShardSim>,
-    /// Admitted global request indices per shard, in admission order (non-decreasing ticks).
-    routed: Vec<Vec<usize>>,
-    /// Effective per-request sample count (two-tier low passes and the degradation ladder
-    /// override the request's own; `0` is the analytic-moment sentinel).
-    effective_samples: Vec<usize>,
-    /// The tick each request was (finally) admitted at — its arrival tick unless a crash
-    /// evicted it into the retry path, in which case the last retry's submission tick.
-    admitted_ticks: Vec<u64>,
+    work: ShardWork,
     outcomes: Vec<Option<RequestOutcome>>,
     sheds: Vec<ShedEvent>,
     scale_events: Vec<ScaleEvent>,
     retries: Vec<RetryEvent>,
     degrades: Vec<DegradeEvent>,
     levels: Vec<DegradeLevel>,
+}
+
+/// Each shard's admitted requests and the batches phase A timed for them: everything phase B
+/// executes.
+struct ShardWork {
+    /// Per-shard swap schedules, corrupted swaps cancelled.
+    swaps: Vec<Vec<VersionSwap>>,
+    /// Admitted global request indices per shard, in admission order (non-decreasing ticks).
+    routed: Vec<Vec<usize>>,
+    /// Each shard's batches, in service order; they answer `routed` in consecutive runs.
+    batches: Vec<Vec<BatchStat>>,
+    /// Effective per-request sample count (two-tier low passes and the degradation ladder
+    /// override the request's own; `0` is the analytic-moment sentinel).
+    effective_samples: Vec<usize>,
+    /// The tick each request was (finally) admitted at — its arrival tick unless a crash
+    /// evicted it into the retry path, in which case the last retry's submission tick.
+    admitted_ticks: Vec<u64>,
+}
+
+impl ShardWork {
+    /// Every admitted request as `(shard, trace index, completion tick)`.
+    fn completions(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
+        self.routed.iter().zip(&self.batches).enumerate().flat_map(|(shard, (members, batches))| {
+            batches
+                .iter()
+                .flat_map(|batch| std::iter::repeat_n(batch.end_tick, batch.size))
+                .zip(members)
+                .map(move |(end_tick, &i)| (shard, i, end_tick))
+        })
+    }
+}
+
+/// Answered-request latencies in trace order. Latency is measured from the ORIGINAL arrival:
+/// a retried request's failover delay is real waiting its caller experienced, so it lands in
+/// the tail percentiles.
+fn answered_latencies(outcomes: &[RequestOutcome], trace: &[InferRequest]) -> Vec<u64> {
+    outcomes
+        .iter()
+        .zip(trace)
+        .filter_map(|(outcome, request)| match outcome {
+            RequestOutcome::Answered { end_tick, .. } => Some(end_tick - request.arrival_tick),
+            RequestOutcome::Shed { .. } => None,
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------------------------
@@ -603,7 +485,7 @@ impl Cluster {
 
     /// Phase A: a merged tick-ordered event loop over arrivals, failover retries, fault
     /// transitions and autoscale epochs, making every scaling, routing, degradation and
-    /// admission decision against the incremental shard simulators.
+    /// admission decision against one [`BatchClock`] per shard.
     ///
     /// Event ordering, the whole determinism argument in four rules:
     ///
@@ -629,22 +511,18 @@ impl Cluster {
     fn route<R: Recorder>(
         &self,
         trace: &[InferRequest],
-        swaps: &[Vec<VersionSwap>],
+        swaps: Vec<Vec<VersionSwap>>,
         faults: &FaultPlan,
         timeline: &FaultTimeline,
         rec: &mut R,
     ) -> Routing {
         let routable = Cluster::routable(&self.config);
         let base_epsilon = self.config.source.epsilon_count();
-        let mut sims: Vec<ShardSim> = (0..self.config.shards)
-            .map(|s| {
-                ShardSim::new(
-                    self.config.batch,
-                    self.config.mode,
-                    base_epsilon,
-                    &swaps[s],
-                    &timeline.slowdowns[s],
-                )
+        let mut clocks: Vec<BatchClock> = swaps
+            .iter()
+            .zip(&timeline.slowdowns)
+            .map(|(swaps, slowdowns)| {
+                BatchClock::new(self.config.batch, self.config.mode, base_epsilon, swaps, slowdowns)
             })
             .collect();
         let mut routed: Vec<Vec<usize>> = vec![Vec::new(); self.config.shards];
@@ -706,15 +584,15 @@ impl Cluster {
                     // Fail-stop at the dispatch boundary: committed batches complete, the
                     // open batch's members fail over. They are the exact tail of this
                     // shard's admission order, so un-routing them is a truncation.
-                    let evicted = sims[shard].evict_open(tick);
+                    let evicted = clocks[shard].evict_open(tick);
                     if !evicted.is_empty() {
                         let keep = routed[shard].len() - evicted.len();
                         debug_assert!(
-                            routed[shard][keep..].iter().zip(&evicted).all(|(&r, &(e, _))| r == e),
+                            routed[shard][keep..] == evicted[..],
                             "the open batch must be the tail of the shard's admission order"
                         );
                         routed[shard].truncate(keep);
-                        for &(i, _) in &evicted {
+                        for &i in &evicted {
                             attempts[i] += 1;
                             let attempt = attempts[i];
                             if attempt <= faults.retry.max_retries {
@@ -749,7 +627,8 @@ impl Cluster {
             if ep_due {
                 let scale = self.config.autoscale.expect("ep_due implies autoscaling");
                 let epoch = next_epoch.expect("ep_due implies an epoch");
-                let backlog: usize = sims[..active].iter_mut().map(|sim| sim.backlog(epoch)).sum();
+                let backlog: usize =
+                    clocks[..active].iter_mut().map(|clock| clock.backlog(epoch)).sum();
                 if backlog > scale.high_watermark * active && active < routable {
                     active += 1;
                     if R::ENABLED {
@@ -829,7 +708,7 @@ impl Cluster {
             let level = match faults.ladder {
                 Some(ladder) => {
                     let pressure: usize =
-                        (0..active).filter(|&s| up[s]).map(|s| sims[s].backlog(t)).sum();
+                        (0..active).filter(|&s| up[s]).map(|s| clocks[s].backlog(t)).sum();
                     let level = ladder.level_for(pressure, live);
                     if level != current_level {
                         let event = DegradeEvent {
@@ -872,7 +751,7 @@ impl Cluster {
                 }
                 RoutingPolicy::LeastLoaded | RoutingPolicy::TwoTier { .. } => (0..active)
                     .filter(|&s| up[s])
-                    .min_by_key(|&s| (sims[s].backlog(t), s))
+                    .min_by_key(|&s| (clocks[s].backlog(t), s))
                     .expect("at least one live shard"),
             };
 
@@ -887,7 +766,7 @@ impl Cluster {
                 continue;
             }
             // The backlog at the admission decision doubles as the recorded queue depth.
-            let depth = sims[shard].backlog(t);
+            let depth = clocks[shard].backlog(t);
             if depth >= self.config.queue_cap {
                 let reason = ShedReason::QueueFull;
                 let event = ShedEvent { request: request.id, tick: t, shard, reason };
@@ -899,7 +778,7 @@ impl Cluster {
                 continue;
             }
             if let Some(deadline) = self.config.deadline_ticks {
-                if sims[shard].estimate_end(t, samples) > t + deadline {
+                if clocks[shard].estimate_end(t, samples) > t + deadline {
                     let reason = ShedReason::Deadline;
                     let event = ShedEvent { request: request.id, tick: t, shard, reason };
                     if R::ENABLED {
@@ -918,19 +797,19 @@ impl Cluster {
                     queue_depth: depth,
                 });
             }
-            sims[shard].admit(i, samples, t);
+            clocks[shard].admit(i, samples, t);
             routed[shard].push(i);
             effective_samples[i] = samples;
             admitted_ticks[i] = t;
         }
-        for sim in &mut sims {
-            sim.finish();
-        }
         Routing {
-            sims,
-            routed,
-            effective_samples,
-            admitted_ticks,
+            work: ShardWork {
+                swaps,
+                routed,
+                batches: clocks.into_iter().map(BatchClock::finish).collect(),
+                effective_samples,
+                admitted_ticks,
+            },
             outcomes,
             sheds,
             scale_events,
@@ -988,6 +867,19 @@ impl Cluster {
             !matches!(self.config.routing, RoutingPolicy::TwoTier { .. }),
             "two-tier escalation needs real entropies; use Cluster::run"
         );
+        self.plan_traced(trace, swaps, faults, &mut NullRecorder).0
+    }
+
+    /// Phase A in full: validates the fault plan and swap schedule, routes the trace, and
+    /// settles every admitted request as answered by its shard when its batch completes.
+    /// Returns the plan and the work phase B executes.
+    fn plan_traced<R: Recorder>(
+        &self,
+        trace: &[InferRequest],
+        swaps: &[ShardSwap],
+        faults: &FaultPlan,
+        rec: &mut R,
+    ) -> (ClusterPlan, ShardWork) {
         let timeline = FaultTimeline::build(
             faults,
             Cluster::routable(&self.config),
@@ -996,54 +888,39 @@ impl Cluster {
         );
         let mut grouped = self.swaps_by_shard(swaps);
         let checkpoint_faults = timeline.cancel_corrupted_swaps(&mut grouped);
-        let routing = self.route(trace, &grouped, faults, &timeline, &mut NullRecorder);
-        let mut outcomes = routing.outcomes;
-        let mut end_ticks = vec![0u64; trace.len()];
-        let mut makespan = 0u64;
-        for sim in &routing.sims {
-            for batch in &sim.batches {
-                makespan = makespan.max(batch.end_tick);
-                for &i in &batch.members {
-                    end_ticks[i] = batch.end_tick;
-                }
+        if R::ENABLED {
+            for fault in &checkpoint_faults {
+                rec.record(fault.to_event());
             }
         }
-        for (shard, members) in routing.routed.iter().enumerate() {
-            for &i in members {
-                outcomes[i] = Some(RequestOutcome::Answered {
-                    shard,
-                    end_tick: end_ticks[i],
-                    escalated: false,
-                    upgraded: false,
-                });
-            }
+        let Routing { work, mut outcomes, sheds, scale_events, retries, degrades, levels } =
+            self.route(trace, grouped, faults, &timeline, rec);
+        for (shard, i, end_tick) in work.completions() {
+            outcomes[i] = Some(RequestOutcome::Answered {
+                shard,
+                end_tick,
+                escalated: false,
+                upgraded: false,
+            });
         }
         let outcomes: Vec<RequestOutcome> =
             outcomes.into_iter().map(|o| o.expect("every request has an outcome")).collect();
-        // Latency is measured from the ORIGINAL arrival: a retried request's failover delay
-        // is real waiting its caller experienced, so it lands in the tail percentiles.
-        let latencies: Vec<u64> = outcomes
-            .iter()
-            .zip(trace)
-            .filter_map(|(outcome, request)| match outcome {
-                RequestOutcome::Answered { end_tick, .. } => Some(end_tick - request.arrival_tick),
-                RequestOutcome::Shed { .. } => None,
-            })
-            .collect();
-        ClusterPlan {
+        let plan = ClusterPlan {
+            latencies: answered_latencies(&outcomes, trace),
             outcomes,
-            sheds: routing.sheds,
-            scale_events: routing.scale_events,
-            latencies,
-            makespan_ticks: makespan,
-            batches_per_shard: routing.sims.iter().map(|s| s.batches.len()).collect(),
-            faults: FaultTrace {
-                retries: routing.retries,
-                degrades: routing.degrades,
-                checkpoint_faults,
-                levels: routing.levels,
-            },
-        }
+            sheds,
+            scale_events,
+            makespan_ticks: work
+                .batches
+                .iter()
+                .filter_map(|b| b.last())
+                .map(|b| b.end_tick)
+                .max()
+                .unwrap_or(0),
+            batches_per_shard: work.batches.iter().map(Vec::len).collect(),
+            faults: FaultTrace { retries, degrades, checkpoint_faults, levels },
+        };
+        (plan, work)
     }
 
     /// Serves a trace through the cluster: plan (phase A), then answer every admitted
@@ -1072,13 +949,11 @@ impl Cluster {
 
     /// [`Cluster::run_with_swaps`] under a [`FaultPlan`] — the executed twin of
     /// [`Cluster::plan_with_faults`]: the same phase-A decisions, then real answers for
-    /// every finally-admitted request on its shard's own engine. The fail-stop eviction
-    /// boundary keeps phase B honest: an evicted request never appears in a shard's
-    /// sub-trace, so the engine replays exactly the batches the plan committed
-    /// (`assert_sim_matches_engine` still checks every batch, faults or not), and requests
-    /// the degradation ladder downgraded to the analytic backend are answered by the
-    /// engine's moment sentinel (`samples == 0`). Under [`FaultPlan::none`] this *is*
-    /// `run_with_swaps`.
+    /// every finally-admitted request on its shard's own engine, which executes exactly the
+    /// batches the plan timed. An evicted request is in none of a shard's batches (the crash
+    /// took it out of the open batch before dispatch), and requests the degradation ladder
+    /// downgraded to the analytic backend are answered by the engine's moment sentinel
+    /// (`samples == 0`). Under [`FaultPlan::none`] this *is* `run_with_swaps`.
     ///
     /// # Panics
     ///
@@ -1119,72 +994,41 @@ impl Cluster {
                  crashing shards is not modelled"
             );
         }
-        let timeline = FaultTimeline::build(
-            faults,
-            Cluster::routable(&self.config),
-            self.config.shards,
-            self.config.mode,
-        );
-        let mut grouped = self.swaps_by_shard(swaps);
-        let checkpoint_faults = timeline.cancel_corrupted_swaps(&mut grouped);
-        if R::ENABLED {
-            for fault in &checkpoint_faults {
-                rec.record(fault.to_event());
-            }
-        }
-        let routing = self.route(trace, &grouped, faults, &timeline, rec);
+        let (plan, work) = self.plan_traced(trace, swaps, faults, rec);
+        let ClusterPlan { mut outcomes, sheds, scale_events, mut makespan_ticks, faults, .. } =
+            plan;
 
-        // Phase B: each shard's admitted sub-trace runs on that shard's own engine; the
-        // engine re-derives batch timing from the sub-trace, and it must agree with the
-        // plan's batch for batch — the cluster's timing and answers come from one clock.
-        // A retried request enters the sub-trace at its final admission tick (its failover
-        // history lives in phase A; the engine sees only the admission that stuck).
-        // Under two-tier routing the router never targets the reserved high shard, so its
-        // engine (and report) is built once by the escalation block below, not here.
-        let phase_b_shards = Cluster::routable(&self.config);
+        // Phase B: each shard's engine executes exactly the batches phase A timed, over the
+        // requests that shard admitted. A retried request enters at its final admission tick
+        // (its failover history lives in phase A) and is answered at the sample count phase A
+        // priced it at. Under two-tier routing the router never targets the reserved high
+        // shard, so its engine (and report) is built once by the escalation block below.
+        // Every shard executes on one engine spec: the cluster's source, backend, policy and
+        // workers, every other knob at its default.
+        let engine = InferenceEngine::build(
+            EngineSpec::new(self.config.source.clone())
+                .mode(self.config.mode)
+                .policy(self.config.batch)
+                .workers(self.config.workers_per_shard),
+        );
+        let mut responses: Vec<Option<InferResponse>> = vec![None; trace.len()];
         let mut shard_reports: Vec<ServeRunReport> = Vec::with_capacity(self.config.shards);
-        for (shard, shard_swaps) in grouped.iter().enumerate().take(phase_b_shards) {
-            let sub_trace: Vec<InferRequest> = routing.routed[shard]
+        for (shard, members) in work.routed.iter().enumerate().take(Cluster::routable(&self.config))
+        {
+            let sub_trace: Vec<InferRequest> = members
                 .iter()
-                .map(|&i| {
-                    let mut request = trace[i].clone();
-                    request.arrival_tick = routing.admitted_ticks[i];
-                    request.samples = routing.effective_samples[i];
-                    request
+                .map(|&i| InferRequest {
+                    arrival_tick: work.admitted_ticks[i],
+                    samples: work.effective_samples[i],
+                    ..trace[i].clone()
                 })
                 .collect();
-            let engine = InferenceEngine::from_source_with_mode(
-                self.config.source.clone(),
-                self.config.mode,
-                self.config.batch,
-                self.config.workers_per_shard,
-            );
-            let report = engine.run_recorded(
-                &sub_trace,
-                shard_swaps,
-                &timeline.slowdowns[shard],
-                shard,
-                rec,
-            );
-            assert_sim_matches_engine(&routing.sims[shard], &report, shard);
-            shard_reports.push(report);
-        }
-
-        let mut outcomes = routing.outcomes;
-        let mut responses: Vec<Option<InferResponse>> = vec![None; trace.len()];
-        let mut end_ticks = vec![0u64; trace.len()];
-        for (shard, members) in routing.routed.iter().enumerate() {
-            for (j, &i) in members.iter().enumerate() {
-                let end = routing.admitted_ticks[i] + shard_reports[shard].latencies[j];
-                end_ticks[i] = end;
-                responses[i] = Some(shard_reports[shard].responses[j].clone());
-                outcomes[i] = Some(RequestOutcome::Answered {
-                    shard,
-                    end_tick: end,
-                    escalated: false,
-                    upgraded: false,
-                });
+            let batches = work.batches[shard].clone();
+            let report = engine.execute(&sub_trace, &work.swaps[shard], batches, shard, rec);
+            for (&i, response) in members.iter().zip(&report.responses) {
+                responses[i] = Some(response.clone());
             }
+            shard_reports.push(report);
         }
 
         // Two-tier escalation: low-pass answers whose entropy crosses the threshold re-enter
@@ -1193,23 +1037,24 @@ impl Cluster {
         if let RoutingPolicy::TwoTier { high_samples, entropy_threshold, .. } = self.config.routing
         {
             let high = self.config.shards - 1;
-            let mut candidates: Vec<(u64, usize)> = routing
-                .routed
+            let mut candidates: Vec<(u64, usize)> = outcomes
                 .iter()
-                .take(high)
-                .flatten()
-                .filter_map(|&i| {
-                    let response = responses[i].as_ref().expect("admitted requests answered");
-                    (f64::from(response.entropy) > entropy_threshold).then_some((end_ticks[i], i))
+                .enumerate()
+                .filter_map(|(i, outcome)| match *outcome {
+                    RequestOutcome::Answered { end_tick, .. } => {
+                        let response = responses[i].as_ref().expect("answered requests respond");
+                        (f64::from(response.entropy) > entropy_threshold).then_some((end_tick, i))
+                    }
+                    RequestOutcome::Shed { .. } => None,
                 })
                 .collect();
             candidates.sort_unstable();
 
-            let mut high_sim = ShardSim::new(
+            let mut high_clock = BatchClock::new(
                 self.config.batch,
                 self.config.mode,
                 self.config.source.epsilon_count(),
-                &grouped[high],
+                &work.swaps[high],
                 &[], // two-tier runs carry no fault plan (asserted above)
             );
             // `high_trace[k]` escalates the request at trace index `high_indices[k]`; ids
@@ -1218,9 +1063,9 @@ impl Cluster {
             let mut high_indices: Vec<usize> = Vec::new();
             let mut kept_low: Vec<usize> = Vec::new();
             for &(tick, i) in &candidates {
-                let full = high_sim.backlog(tick) >= self.config.queue_cap;
+                let full = high_clock.backlog(tick) >= self.config.queue_cap;
                 let late = self.config.deadline_ticks.is_some_and(|deadline| {
-                    high_sim.estimate_end(tick, high_samples) > tick + deadline
+                    high_clock.estimate_end(tick, high_samples) > tick + deadline
                 });
                 let admit = !full && !late;
                 let event = EscalationEvent { request: trace[i].id, tick, admitted: admit };
@@ -1229,7 +1074,7 @@ impl Cluster {
                 }
                 escalations.push(event);
                 if admit {
-                    high_sim.admit(i, high_samples, tick);
+                    high_clock.admit(i, high_samples, tick);
                     let mut request = trace[i].clone();
                     request.arrival_tick = tick;
                     request.samples = high_samples;
@@ -1239,37 +1084,27 @@ impl Cluster {
                     kept_low.push(i);
                 }
             }
-            high_sim.finish();
 
-            let engine = InferenceEngine::from_source(
-                self.config.source.clone(),
-                self.config.batch,
-                self.config.workers_per_shard,
-            );
-            let high_report = engine.run_recorded(&high_trace, &grouped[high], &[], high, rec);
-            assert_sim_matches_engine(&high_sim, &high_report, high);
-
+            let high_report =
+                engine.execute(&high_trace, &work.swaps[high], high_clock.finish(), high, rec);
             for (k, &i) in high_indices.iter().enumerate() {
-                let end = high_trace[k].arrival_tick + high_report.latencies[k];
-                end_ticks[i] = end;
                 responses[i] = Some(high_report.responses[k].clone());
-                outcomes[i] = Some(RequestOutcome::Answered {
+                outcomes[i] = RequestOutcome::Answered {
                     shard: high,
-                    end_tick: end,
+                    end_tick: high_trace[k].arrival_tick + high_report.latencies[k],
                     escalated: true,
                     upgraded: true,
-                });
+                };
             }
             for &i in &kept_low {
-                if let Some(RequestOutcome::Answered { escalated, .. }) = &mut outcomes[i] {
+                if let RequestOutcome::Answered { escalated, .. } = &mut outcomes[i] {
                     *escalated = true;
                 }
             }
+            makespan_ticks = makespan_ticks.max(high_report.makespan_ticks);
             shard_reports.push(high_report);
         }
 
-        let outcomes: Vec<RequestOutcome> =
-            outcomes.into_iter().map(|o| o.expect("every request has an outcome")).collect();
         if R::ENABLED {
             // Terminal leaves for the answered side (sheds already recorded theirs at the
             // decision): the carried answer's completion tick, post-escalation-upgrade.
@@ -1279,58 +1114,22 @@ impl Cluster {
                 }
             }
         }
-        let latencies: Vec<u64> = outcomes
-            .iter()
-            .zip(trace)
-            .filter_map(|(outcome, request)| match outcome {
-                RequestOutcome::Answered { end_tick, .. } => Some(end_tick - request.arrival_tick),
-                RequestOutcome::Shed { .. } => None,
-            })
-            .collect();
-        let makespan_ticks = shard_reports.iter().map(|r| r.makespan_ticks).max().unwrap_or(0);
 
         ClusterRunReport {
             routing: self.config.routing.label().to_string(),
             shards: self.config.shards,
             queue_cap: self.config.queue_cap,
             workers_per_shard: self.config.workers_per_shard,
+            latencies: answered_latencies(&outcomes, trace),
             outcomes,
             responses,
-            latencies,
-            sheds: routing.sheds,
+            sheds,
             escalations,
-            scale_events: routing.scale_events,
+            scale_events,
             shard_reports,
             makespan_ticks,
-            faults: FaultTrace {
-                retries: routing.retries,
-                degrades: routing.degrades,
-                checkpoint_faults,
-                levels: routing.levels,
-            },
+            faults,
         }
-    }
-}
-
-/// Pins phase A to phase B: the incremental simulator's batches must replay the engine's
-/// batch stats exactly — same closes, same service starts and ends, same sizes, same
-/// versions. A divergence would mean routing decisions were made against a different clock
-/// than the one the report carries, so it is a hard error, not a tolerance.
-fn assert_sim_matches_engine(sim: &ShardSim, report: &ServeRunReport, shard: usize) {
-    assert_eq!(
-        sim.batches.len(),
-        report.batches.len(),
-        "shard {shard}: plan and engine disagree on batch count"
-    );
-    for (planned, executed) in sim.batches.iter().zip(&report.batches) {
-        assert!(
-            planned.close_tick == executed.close_tick
-                && planned.start_tick == executed.start_tick
-                && planned.end_tick == executed.end_tick
-                && planned.members.len() == executed.size
-                && planned.version == executed.version,
-            "shard {shard}: plan batch {planned:?} diverged from engine batch {executed:?}"
-        );
     }
 }
 

@@ -2,17 +2,18 @@
 //!
 //! Two clocks run through an engine, deliberately kept apart:
 //!
-//! * the **tick clock** is simulated. Batch formation ([`crate::batcher`]), service cost and
-//!   every latency statistic live here, modelled after the Shift-BNN accelerator (a batch pays
-//!   a fixed dispatch/weight-load overhead of [`BATCH_OVERHEAD_TICKS`], then each request pays
-//!   one tick per [`EPSILON_LANES`] ε drawn — the paper's 16 SPUs × 64 GRNG lanes). Nothing on
-//!   this path reads a wall clock, so reports are bit-reproducible;
+//! * the **tick clock** is simulated. Batch formation and device timing (the batch clock in
+//!   [`crate::batcher`]), service cost and every latency statistic live here, modelled after
+//!   the Shift-BNN accelerator (a batch pays a fixed dispatch/weight-load overhead of
+//!   [`BATCH_OVERHEAD_TICKS`], then each request pays one tick per [`EPSILON_LANES`] ε drawn —
+//!   the paper's 16 SPUs × 64 GRNG lanes). Nothing on this path reads a wall clock, so
+//!   reports are bit-reproducible;
 //! * the **wall clock** exists only outside the engine: `serve_bench` times whole runs to
 //!   measure real software throughput, and those numbers are explicitly excluded from the
 //!   committed regression baselines.
 //!
-//! Execution itself fans the requests out over [`shift_bnn::pool::run_indexed_with`]: each
-//! worker materializes one frozen-posterior replica per model version it serves
+//! Execution itself fans the requests out over [`bnn_pool::run_indexed_with`]: each worker
+//! materializes one frozen-posterior replica per model version it serves
 //! ([`ModelSource::build`] — seed-rebuilt or checkpoint-loaded) and answers whatever requests
 //! it steals. A response depends only on the request (input, `S`, seed) and the frozen
 //! posterior of the version that answered it — never on the worker, the batch it rode in, or
@@ -22,16 +23,15 @@
 //! ([`InferenceEngine::run_with_swaps`]): versions change only at deterministic tick
 //! boundaries, old versions drain, and no request is ever dropped.
 
-use crate::batcher::{plan_batches, BatchPolicy};
+use crate::batcher::{BatchClock, BatchPolicy};
 use crate::builder::EngineSpec;
 use crate::request::{mix_seed, InferRequest, InferResponse};
-use crate::spec::{ModelSource, ModelSpec, ServeMode};
+use crate::spec::{ModelSource, ServeMode};
 use bnn_obs::{Event, NullRecorder, Recorder};
 use bnn_tensor::{KernelConfig, Tensor};
 use bnn_train::moment::MomentNetwork;
 use bnn_train::network::Predictive;
 use bnn_train::{EpsilonSource, LfsrForward, Network};
-use shift_bnn::pool;
 use shift_bnn::sweep::json::Json;
 
 /// Ticks a batch pays once, regardless of size: dispatch plus streaming the `(μ, σ)` weights
@@ -216,8 +216,7 @@ pub struct InferenceEngine {
 }
 
 impl InferenceEngine {
-    /// Builds an engine from a declarative [`EngineSpec`] — the single construction surface
-    /// since PR 8 (the historical constructors below are thin shims over default specs).
+    /// Builds an engine from a declarative [`EngineSpec`], the one way to construct it.
     ///
     /// # Panics
     ///
@@ -237,49 +236,6 @@ impl InferenceEngine {
             fused_sampling: spec.fused_sampling,
             epsilon_per_sample,
         }
-    }
-
-    /// Creates an engine serving the seed-rebuilt `spec` under `policy` on `workers` pool
-    /// threads (the synthetic-posterior path). Deprecated shim: prefer
-    /// [`InferenceEngine::build`] with an [`EngineSpec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `workers` is zero or the policy's `max_batch` is zero.
-    pub fn new(spec: ModelSpec, policy: BatchPolicy, workers: usize) -> InferenceEngine {
-        InferenceEngine::build(EngineSpec::new(spec).policy(policy).workers(workers))
-    }
-
-    /// Creates an engine serving any [`ModelSource`] — the checkpoint path: sources loaded
-    /// from a `bnn-store` registry serve (and hot-swap) trained posteriors rather than
-    /// seed-synthesized ones. Deprecated shim: prefer [`InferenceEngine::build`] with an
-    /// [`EngineSpec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `workers` is zero or the policy's `max_batch` is zero.
-    pub fn from_source(
-        source: ModelSource,
-        policy: BatchPolicy,
-        workers: usize,
-    ) -> InferenceEngine {
-        InferenceEngine::build(EngineSpec::new(source).policy(policy).workers(workers))
-    }
-
-    /// Creates an engine serving any [`ModelSource`] under an explicit [`ServeMode`]. The
-    /// mode is engine-wide: hot-swaps replace the *posterior*, never the backend.
-    /// Deprecated shim: prefer [`InferenceEngine::build`] with an [`EngineSpec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `workers` is zero or the policy's `max_batch` is zero.
-    pub fn from_source_with_mode(
-        source: ModelSource,
-        mode: ServeMode,
-        policy: BatchPolicy,
-        workers: usize,
-    ) -> InferenceEngine {
-        InferenceEngine::build(EngineSpec::new(source).mode(mode).policy(policy).workers(workers))
     }
 
     /// The served model's source (version 0; swaps are per-run, not engine state).
@@ -344,118 +300,78 @@ impl InferenceEngine {
         requests: &[InferRequest],
         swaps: &[VersionSwap],
     ) -> ServeRunReport {
-        self.run_with_slowdowns(requests, swaps, &[])
+        self.run_traced(requests, swaps, &mut NullRecorder)
     }
 
-    /// [`InferenceEngine::run_with_swaps`] under fault-injected [`Slowdown`] windows:
-    /// batches whose service starts inside a window take `multiplier ×` their normal service
-    /// time (the multiplier is decided at the start tick; overlapping windows take the max).
-    /// Responses are untouched — a slow device answers late, not differently — so only batch
-    /// timing, latencies and the makespan move. With empty `slowdowns` this *is*
-    /// `run_with_swaps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`InferenceEngine::run_with_swaps`].
-    pub fn run_with_slowdowns(
-        &self,
-        requests: &[InferRequest],
-        swaps: &[VersionSwap],
-        slowdowns: &[Slowdown],
-    ) -> ServeRunReport {
-        self.run_recorded(requests, swaps, slowdowns, 0, &mut NullRecorder)
-    }
-
-    /// [`InferenceEngine::run`] with structured tracing: each batch's close, dispatch and
-    /// completion are recorded as tick-stamped [`Event`]s keyed by the member requests' ids,
-    /// plus one [`Event::BatchSeal`] per batch for occupancy metrics. The recorder observes
-    /// the exact same timing the report carries — it never influences it — so responses,
-    /// latencies and batch stats are byte-identical to an untraced run (the obs benchmark
-    /// asserts this equivalence on every run).
+    /// [`InferenceEngine::run_with_swaps`] with structured tracing: each batch's close,
+    /// dispatch and completion are recorded as tick-stamped [`Event`]s keyed by the member
+    /// requests' ids, plus one [`Event::BatchSeal`] per batch for occupancy metrics. The
+    /// recorder observes the exact same timing the report carries — it never influences it —
+    /// so responses, latencies and batch stats are byte-identical to an untraced run (the obs
+    /// benchmark asserts this equivalence on every run).
     pub fn run_traced<R: Recorder>(
         &self,
         requests: &[InferRequest],
         swaps: &[VersionSwap],
         rec: &mut R,
     ) -> ServeRunReport {
-        self.run_recorded(requests, swaps, &[], 0, rec)
-    }
-
-    /// The one serving body every `run*` entry point delegates to, generic over the
-    /// [`Recorder`]. `shard` is stamped into emitted events (single-engine callers pass 0);
-    /// recording happens in the sequential timing loop on the calling thread, never on pool
-    /// workers, so recorded streams are identical at any worker count.
-    pub(crate) fn run_recorded<R: Recorder>(
-        &self,
-        requests: &[InferRequest],
-        swaps: &[VersionSwap],
-        slowdowns: &[Slowdown],
-        shard: usize,
-        rec: &mut R,
-    ) -> ServeRunReport {
         for pair in swaps.windows(2) {
             assert!(pair[0].at_tick <= pair[1].at_tick, "swap schedule must be sorted by at_tick");
         }
+        let mut clock =
+            BatchClock::new(self.policy, self.mode, self.epsilon_per_sample, swaps, &[]);
+        let mut previous_arrival = 0;
+        for (i, request) in requests.iter().enumerate() {
+            assert!(
+                request.arrival_tick >= previous_arrival,
+                "request trace must be sorted by arrival_tick (index {i})"
+            );
+            previous_arrival = request.arrival_tick;
+            clock.admit(i, request.samples, request.arrival_tick);
+        }
+        self.execute(requests, swaps, clock.finish(), 0, rec)
+    }
+
+    /// Executes batches a [`BatchClock`] timed: batch `k` answers the next `batches[k].size`
+    /// requests of `requests`, each priced and answered at its own `samples`. `shard` is
+    /// stamped into emitted events (single-engine runs pass 0); recording happens on the
+    /// calling thread, never on pool workers, so recorded streams are identical at any worker
+    /// count.
+    pub(crate) fn execute<R: Recorder>(
+        &self,
+        requests: &[InferRequest],
+        swaps: &[VersionSwap],
+        batches: Vec<BatchStat>,
+        shard: usize,
+        rec: &mut R,
+    ) -> ServeRunReport {
         // Version table: index 0 is the engine's own source, i ≥ 1 the (i−1)-th swap.
         let sources: Vec<&ModelSource> =
             std::iter::once(&self.source).chain(swaps.iter().map(|s| &s.source)).collect();
-        let epsilon_counts: Vec<usize> = std::iter::once(self.epsilon_per_sample)
-            .chain(swaps.iter().map(|s| s.source.epsilon_count()))
-            .collect();
-
-        let plans = plan_batches(requests, self.policy);
-
-        // Tick-domain timing: the simulated device serves batches in close order, one at a
-        // time — queueing delay emerges when arrivals outpace service. The active version of
-        // a batch is decided at its service start tick (swap deterministically "lands"
-        // between batches), and its ε volume prices the batch's service time.
-        let mut batches = Vec::with_capacity(plans.len());
-        let mut latencies = vec![0u64; requests.len()];
-        let mut version_of = vec![0usize; requests.len()];
-        let mut device_free: u64 = 0;
-        for plan in &plans {
-            let start_tick = plan.close_tick.max(device_free);
-            let version = swaps.iter().take_while(|s| s.at_tick <= start_tick).count();
-            let service: u64 = BATCH_OVERHEAD_TICKS
-                + plan
-                    .requests
-                    .iter()
-                    .map(|&i| {
-                        request_service_cost(
-                            self.mode,
-                            epsilon_counts[version],
-                            requests[i].samples,
-                        )
-                    })
-                    .sum::<u64>();
-            let end_tick = start_tick + slow_multiplier(slowdowns, start_tick) * service;
-            device_free = end_tick;
+        let mut latencies = Vec::with_capacity(requests.len());
+        let mut version_of = Vec::with_capacity(requests.len());
+        let mut members = requests.iter();
+        for batch in &batches {
             if R::ENABLED {
                 rec.record(Event::BatchSeal {
                     shard,
-                    close_tick: plan.close_tick,
-                    members: plan.requests.len(),
-                    version,
+                    close_tick: batch.close_tick,
+                    members: batch.size,
+                    version: batch.version,
                 });
             }
-            for &i in &plan.requests {
-                latencies[i] = end_tick - requests[i].arrival_tick;
-                version_of[i] = version;
+            for request in members.by_ref().take(batch.size) {
+                latencies.push(batch.end_tick - request.arrival_tick);
+                version_of.push(batch.version);
                 if R::ENABLED {
-                    let request = requests[i].id;
-                    rec.record(Event::BatchClose { request, shard, tick: plan.close_tick });
-                    rec.record(Event::Dispatch { request, shard, tick: start_tick });
-                    rec.record(Event::ComputeDone { request, shard, tick: end_tick });
+                    let request = request.id;
+                    rec.record(Event::BatchClose { request, shard, tick: batch.close_tick });
+                    rec.record(Event::Dispatch { request, shard, tick: batch.start_tick });
+                    rec.record(Event::ComputeDone { request, shard, tick: batch.end_tick });
                 }
             }
-            batches.push(BatchStat {
-                close_tick: plan.close_tick,
-                start_tick,
-                end_tick,
-                size: plan.requests.len(),
-                version,
-            });
         }
+        assert_eq!(latencies.len(), requests.len(), "timed batches must cover every request");
 
         // Execution: requests fan out over the pool; each worker materializes one replica
         // per version it serves (built once, lazily) and results merge by request index
@@ -467,7 +383,7 @@ impl InferenceEngine {
         let mode = self.mode;
         let kernel = self.kernel;
         let fused = self.fused_sampling;
-        let responses = pool::run_indexed_with(
+        let responses = bnn_pool::run_indexed_with(
             requests.len(),
             self.workers,
             |_worker| -> Vec<Option<ServeReplica>> { (0..sources.len()).map(|_| None).collect() },
@@ -494,14 +410,14 @@ impl InferenceEngine {
             workers: self.workers,
             responses,
             latencies,
+            makespan_ticks: batches.last().map_or(0, |b| b.end_tick),
             batches,
-            makespan_ticks: device_free,
         }
     }
 }
 
-/// Simulated per-request service cost (shared with the cluster simulator, whose shard timing
-/// must mirror the engine's batch pricing exactly):
+/// Simulated per-request service cost, summed into each batch's service time by the
+/// [`BatchClock`]:
 ///
 /// * **Monte-Carlo** — one setup tick plus the GRNG-bound ε generation time of `samples`
 ///   forward passes drawing `epsilon_per_sample` values each;
@@ -582,36 +498,15 @@ impl std::fmt::Debug for ServeReplica {
 }
 
 impl ServeReplica {
-    /// Builds a replica from a declarative [`EngineSpec`] — the single construction surface
-    /// since PR 8; the spec's policy/worker fields are engine-level and ignored here.
+    /// Builds a replica from a declarative [`EngineSpec`], the one way to construct it; the
+    /// spec's policy/worker fields are engine-level and ignored here.
     pub fn build(spec: &EngineSpec) -> ServeReplica {
         ServeReplica::with_options(&spec.source, spec.mode, spec.kernel, spec.fused_sampling)
     }
 
-    /// Builds a Monte-Carlo replica for `spec` (deterministic in the spec, like
-    /// [`ModelSpec::build`]). Deprecated shim: prefer [`ServeReplica::build`] with an
-    /// [`EngineSpec`].
-    pub fn new(spec: &ModelSpec) -> ServeReplica {
-        ServeReplica::from_source(&ModelSource::Spec(spec.clone()))
-    }
-
-    /// Builds a Monte-Carlo replica for any [`ModelSource`] — seed-rebuilt or
-    /// checkpoint-materialized (deterministic in the source either way). Deprecated shim:
-    /// prefer [`ServeReplica::build`] with an [`EngineSpec`].
-    pub fn from_source(source: &ModelSource) -> ServeReplica {
-        ServeReplica::from_source_with_mode(source, ServeMode::MonteCarlo)
-    }
-
-    /// Builds a replica for any [`ModelSource`] under an explicit [`ServeMode`]
-    /// (deterministic in `(source, mode)`). Deprecated shim: prefer [`ServeReplica::build`]
-    /// with an [`EngineSpec`].
-    pub fn from_source_with_mode(source: &ModelSource, mode: ServeMode) -> ServeReplica {
-        ServeReplica::with_options(source, mode, KernelConfig::default(), true)
-    }
-
-    /// The full-option constructor every other constructor funnels into: posterior source,
-    /// backend, kernel configuration for the replica's layer stack, and the fused-sampling
-    /// switch. Deterministic in `(source, mode)` alone — `kernel` (bit-exact tiers) and
+    /// The full-option constructor [`ServeReplica::build`] and the engine's per-version
+    /// replicas share: posterior source, backend, kernel configuration for the replica's layer
+    /// stack, and the fused-sampling switch. Deterministic in `(source, mode)` alone — `kernel` (bit-exact tiers) and
     /// `fused` change speed, never bytes.
     pub(crate) fn with_options(
         source: &ModelSource,
@@ -746,7 +641,12 @@ fn finish_response(predictive: &Predictive, request: &InferRequest, response: &m
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ModelSpec;
     use crate::workload::WorkloadSpec;
+
+    fn engine(spec: &ModelSpec, policy: BatchPolicy, workers: usize) -> InferenceEngine {
+        InferenceEngine::build(EngineSpec::new(spec.clone()).policy(policy).workers(workers))
+    }
 
     fn small_trace(spec: &ModelSpec) -> Vec<InferRequest> {
         WorkloadSpec::uniform(10, 2, 3, 99).generate(spec)
@@ -755,7 +655,7 @@ mod tests {
     #[test]
     fn run_produces_one_response_per_request_in_order() {
         let spec = ModelSpec::mlp(5);
-        let engine = InferenceEngine::new(spec.clone(), BatchPolicy::unbatched(), 1);
+        let engine = engine(&spec, BatchPolicy::unbatched(), 1);
         let trace = small_trace(&spec);
         let report = engine.run(&trace);
         assert_eq!(report.responses.len(), trace.len());
@@ -771,12 +671,8 @@ mod tests {
     fn tick_model_amortizes_batch_overhead() {
         let spec = ModelSpec::mlp(5);
         let trace = small_trace(&spec);
-        let unbatched = InferenceEngine::new(spec.clone(), BatchPolicy::unbatched(), 1);
-        let coalesced = InferenceEngine::new(
-            spec.clone(),
-            BatchPolicy { max_batch: 10, max_wait_ticks: 64 },
-            1,
-        );
+        let unbatched = engine(&spec, BatchPolicy::unbatched(), 1);
+        let coalesced = engine(&spec, BatchPolicy { max_batch: 10, max_wait_ticks: 64 }, 1);
         let a = unbatched.run(&trace);
         let b = coalesced.run(&trace);
         // Same total work, fewer overhead payments: the coalesced makespan must be smaller.
@@ -788,8 +684,7 @@ mod tests {
     #[test]
     fn batch_timing_respects_device_serialization() {
         let spec = ModelSpec::mlp(5);
-        let engine =
-            InferenceEngine::new(spec.clone(), BatchPolicy { max_batch: 2, max_wait_ticks: 4 }, 1);
+        let engine = engine(&spec, BatchPolicy { max_batch: 2, max_wait_ticks: 4 }, 1);
         let report = engine.run(&small_trace(&spec));
         for pair in report.batches.windows(2) {
             assert!(pair[1].start_tick >= pair[0].end_tick, "batches overlap on the device");
@@ -801,8 +696,7 @@ mod tests {
     #[test]
     fn latency_percentiles_are_ordered() {
         let spec = ModelSpec::mlp(5);
-        let engine =
-            InferenceEngine::new(spec.clone(), BatchPolicy { max_batch: 4, max_wait_ticks: 8 }, 2);
+        let engine = engine(&spec, BatchPolicy { max_batch: 4, max_wait_ticks: 8 }, 2);
         let report = engine.run(&small_trace(&spec));
         let (p50, p95, p99) = (
             report.latency_percentile(0.50),
@@ -815,7 +709,7 @@ mod tests {
 
     #[test]
     fn service_cost_scales_with_samples() {
-        let engine = InferenceEngine::new(ModelSpec::lenet(5), BatchPolicy::unbatched(), 1);
+        let engine = engine(&ModelSpec::lenet(5), BatchPolicy::unbatched(), 1);
         assert!(engine.epsilon_per_sample() > 0);
         let one = engine.service_cost_ticks(1);
         let many = engine.service_cost_ticks(64);
@@ -825,7 +719,7 @@ mod tests {
     #[test]
     fn responses_digest_tracks_response_content() {
         let spec = ModelSpec::mlp(5);
-        let engine = InferenceEngine::new(spec.clone(), BatchPolicy::unbatched(), 1);
+        let engine = engine(&spec, BatchPolicy::unbatched(), 1);
         let trace_a = small_trace(&spec);
         let a = engine.run(&trace_a);
         assert_eq!(a.responses_digest().len(), 16);
@@ -851,15 +745,23 @@ mod tests {
     #[test]
     fn slowdown_windows_stretch_timing_but_not_bytes() {
         let spec = ModelSpec::mlp(5);
-        let engine =
-            InferenceEngine::new(spec.clone(), BatchPolicy { max_batch: 2, max_wait_ticks: 4 }, 1);
+        let engine = engine(&spec, BatchPolicy { max_batch: 2, max_wait_ticks: 4 }, 1);
         let trace = small_trace(&spec);
         let healthy = engine.run(&trace);
-        let slow = engine.run_with_slowdowns(
-            &trace,
+        // Slow windows reach an engine only through the cluster's fault plan: time the trace
+        // on a slowed clock, then execute those batches.
+        let slowdowns = [Slowdown { from_tick: 0, until_tick: u64::MAX, multiplier: 3 }];
+        let mut clock = BatchClock::new(
+            engine.policy(),
+            engine.mode(),
+            engine.epsilon_per_sample(),
             &[],
-            &[Slowdown { from_tick: 0, until_tick: u64::MAX, multiplier: 3 }],
+            &slowdowns,
         );
+        for (i, request) in trace.iter().enumerate() {
+            clock.admit(i, request.samples, request.arrival_tick);
+        }
+        let slow = engine.execute(&trace, &[], clock.finish(), 0, &mut NullRecorder);
         assert!(slow.makespan_ticks > healthy.makespan_ticks);
         for (batch, healthy_batch) in slow.batches.iter().zip(&healthy.batches) {
             assert_eq!(
@@ -875,8 +777,8 @@ mod tests {
     fn zero_sample_requests_answer_analytically_in_a_monte_carlo_replica() {
         let spec = ModelSpec::mlp(5);
         let source = ModelSource::Spec(spec.clone());
-        let mut mc = ServeReplica::from_source(&source);
-        let mut moment = ServeReplica::from_source_with_mode(&source, ServeMode::Moment);
+        let mut mc = ServeReplica::build(&EngineSpec::new(source.clone()));
+        let mut moment = ServeReplica::build(&EngineSpec::new(source).mode(ServeMode::Moment));
         let mut request = small_trace(&spec).remove(0);
         request.samples = 0;
         let mut degraded = InferResponse {
@@ -900,7 +802,7 @@ mod tests {
 
     #[test]
     fn empty_trace_yields_an_empty_report() {
-        let engine = InferenceEngine::new(ModelSpec::mlp(5), BatchPolicy::unbatched(), 2);
+        let engine = engine(&ModelSpec::mlp(5), BatchPolicy::unbatched(), 2);
         let report = engine.run(&[]);
         assert!(report.responses.is_empty());
         assert_eq!(report.makespan_ticks, 0);

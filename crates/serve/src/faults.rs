@@ -21,9 +21,9 @@
 //! router simply routes around it; if *every* routable shard is down, arrivals retry too, and
 //! shed with [`ShedReason::ShardUnavailable`](crate::ShedReason) as the last resort.
 //!
-//! Drawing the crash at the dispatch boundary is what keeps phase A (the plan) and phase B
-//! (real engines) batch-for-batch identical under faults: evicted requests never appear in a
-//! shard's final sub-trace, so the engine replays exactly the batches the plan committed.
+//! The crash is drawn at the dispatch boundary: batches already committed to the device
+//! complete, and the evicted open batch never reaches a shard's batch list, so phase B (real
+//! engines) executes exactly the batches the plan committed.
 //! The retry schedule itself is deterministic because it lives in the tick domain — backoff
 //! is `min(base · 2^(attempt−1), max)` ticks from the observed failure tick, retries re-enter
 //! the arrival stream in (tick, schedule-order) order, and ties against fresh arrivals

@@ -13,14 +13,15 @@
 //!
 //! The engine is built for determinism first:
 //!
-//! * [`batcher`] coalesces requests in a simulated **tick** domain (max-batch-size /
-//!   max-wait-ticks policy). No wall clock is ever read on the result path, so batch
+//! * [`batcher`] coalesces requests and times batches on a simulated device in a **tick**
+//!   domain (max-batch-size / max-wait-ticks policy): one batch clock serves the engine and
+//!   every cluster shard. No wall clock is ever read on the result path, so batch
 //!   composition — and therefore every latency statistic — is reproducible bit-for-bit.
-//! * [`engine`] executes requests on the workspace's work-stealing pool
-//!   ([`shift_bnn::pool`]), one frozen-posterior replica per worker
-//!   ([`shift_bnn::pool::run_indexed_with`]); responses merge by request index, so a 1-worker
-//!   engine and an N-worker engine produce **byte-identical** [`InferResponse`]s (enforced by
-//!   `tests/serve_determinism.rs` and at runtime by the `serve_bench` binary).
+//! * [`engine`] executes requests on the workspace's work-stealing pool ([`bnn_pool`]), one
+//!   frozen-posterior replica per worker ([`bnn_pool::run_indexed_with`]); responses merge by
+//!   request index, so a 1-worker engine and an N-worker engine produce **byte-identical**
+//!   [`InferResponse`]s (enforced by `tests/serve_determinism.rs` and at runtime by the
+//!   `serve_bench` binary).
 //! * [`workload`] generates seeded synthetic open-loop request traces, the serving analogue
 //!   of the training side's synthetic datasets — uniform, bursty, diurnal or adversarial
 //!   arrival shapes over the same seeded inputs ([`ArrivalProcess`]).
@@ -37,11 +38,11 @@
 //! # Example
 //!
 //! ```
-//! use bnn_serve::{BatchPolicy, InferenceEngine, ModelSpec, WorkloadSpec};
+//! use bnn_serve::{BatchPolicy, EngineSpec, InferenceEngine, ModelSpec, WorkloadSpec};
 //!
 //! let spec = ModelSpec::mlp(2021);
 //! let policy = BatchPolicy { max_batch: 4, max_wait_ticks: 16 };
-//! let engine = InferenceEngine::new(spec.clone(), policy, 2);
+//! let engine = InferenceEngine::build(EngineSpec::new(spec.clone()).policy(policy).workers(2));
 //! let trace = WorkloadSpec::uniform(12, 3, 4, 7).generate(&spec);
 //! let report = engine.run(&trace);
 //! assert_eq!(report.responses.len(), 12);

@@ -11,13 +11,15 @@
 //!   batch overhead; a shed request is shed exactly at its arrival tick, at a shard that
 //!   actually exists;
 //! * **monotone shedding** — at a fixed queue cap, slowing the arrival process down (larger
-//!   uniform interarrival gap) never sheds *more* requests.
+//!   uniform interarrival gap) never sheds *more* requests;
+//! * **one batch clock** — the engine and a 1-shard, fault-free cluster with room for the
+//!   whole trace time the same batches, and `plan_batches` coalesces them identically.
 
 use bnn_serve::engine::BATCH_OVERHEAD_TICKS;
 use bnn_serve::{
-    ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, ClusterPlan, DegradeLadder, FaultEvent,
-    FaultPlan, InferRequest, ModelSource, ModelSpec, RequestOutcome, RetryPolicy, RoutingPolicy,
-    ServeMode, WorkloadSpec,
+    plan_batches, ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, ClusterPlan, DegradeLadder,
+    EngineSpec, FaultEvent, FaultPlan, InferRequest, InferenceEngine, ModelSource, ModelSpec,
+    RequestOutcome, RetryPolicy, RoutingPolicy, ServeMode, ShardSwap, VersionSwap, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -439,9 +441,70 @@ proptest! {
     }
 }
 
-/// The plan-side invariants above transfer to full runs: phase B asserts batch-for-batch
-/// timing equality with phase A internally, and this control arm checks conservation on a
-/// real executed report, escalations included.
+/// Swap version `version` of the B-MLP proxy: new weights and wider hidden layers, so the
+/// version active at a batch's service start visibly changes its price.
+fn swap_source(version: usize) -> ModelSource {
+    let mut spec = ModelSpec::mlp(2021 + version as u64);
+    spec.proxy.hidden.iter_mut().for_each(|width| *width += 8 * version);
+    ModelSource::Spec(spec)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The engine and the cluster drive one batch clock: over any sorted trace, batch policy
+    /// and sorted swap schedule, a standalone engine and a 1-shard, fault-free cluster whose
+    /// queue holds the whole trace close, start, end, size and version every batch alike;
+    /// the cluster's plan carries the engine's latencies and makespan; and `plan_batches`
+    /// coalesces the trace into the engine's batches.
+    #[test]
+    fn engine_and_one_shard_cluster_time_batches_identically(
+        requests in 1usize..40,
+        interarrival in 1u64..8,
+        selector in 0u8..4,
+        max_batch in 1usize..6,
+        max_wait_ticks in 0u64..24,
+        samples in 1usize..3,
+        swap_ticks in prop::collection::vec(0u64..600, 0..4),
+        seed in 0u64..1000,
+    ) {
+        let model = ModelSpec::mlp(2021);
+        let trace = WorkloadSpec::uniform(requests, interarrival, samples, seed)
+            .with_arrival(arrival_process(selector))
+            .generate(&model);
+        let policy = BatchPolicy { max_batch, max_wait_ticks };
+        let mut swap_ticks = swap_ticks;
+        swap_ticks.sort_unstable();
+        let swaps: Vec<VersionSwap> = swap_ticks
+            .iter()
+            .enumerate()
+            .map(|(i, &at_tick)| VersionSwap { at_tick, source: swap_source(i + 1) })
+            .collect();
+        let spec = EngineSpec::new(model).policy(policy);
+
+        let solo = InferenceEngine::build(spec.clone()).run_with_swaps(&trace, &swaps);
+        let cluster = Cluster::new(ClusterConfig::from_engine_spec(&spec, 1, trace.len()));
+        let shard_swaps: Vec<ShardSwap> =
+            swaps.into_iter().map(|swap| ShardSwap { shard: 0, swap }).collect();
+        let report = cluster.run_with_swaps(&trace, &shard_swaps);
+        prop_assert_eq!(&solo.batches, &report.shard_reports[0].batches);
+
+        let plan = cluster.plan_with_swaps(&trace, &shard_swaps);
+        prop_assert_eq!(&plan.latencies, &solo.latencies);
+        prop_assert_eq!(plan.makespan_ticks, solo.makespan_ticks);
+
+        let coalesced: Vec<(u64, usize)> = plan_batches(&trace, policy)
+            .iter()
+            .map(|batch| (batch.close_tick, batch.requests.len()))
+            .collect();
+        let timed: Vec<(u64, usize)> =
+            solo.batches.iter().map(|batch| (batch.close_tick, batch.size)).collect();
+        prop_assert_eq!(coalesced, timed);
+    }
+}
+
+/// The plan-side invariants above transfer to full runs: this control arm checks
+/// conservation on a real executed report, escalations included.
 #[test]
 fn executed_two_tier_run_conserves_requests() {
     let spec = ModelSpec::mlp(2021);

@@ -14,7 +14,7 @@
 //!    arithmetic trips it.
 
 use bnn_serve::{
-    ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, InferRequest, InferenceEngine,
+    ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, EngineSpec, InferRequest, InferenceEngine,
     ModelSource, ModelSpec, RequestOutcome, RoutingPolicy, ServeMode, WorkloadSpec,
 };
 
@@ -114,7 +114,9 @@ fn each_shard_equals_a_standalone_engine_on_its_sub_trace() {
         let sub_trace = admitted_sub_trace(&trace, &report.outcomes, shard);
         // A bare engine over the routed sub-trace reproduces the shard's slice of the
         // cluster report exactly — answers, latencies, batch timing, everything.
-        let engine = InferenceEngine::from_source(cfg.source.clone(), cfg.batch, 2);
+        let engine = InferenceEngine::build(
+            EngineSpec::new(cfg.source.clone()).policy(cfg.batch).workers(2),
+        );
         let solo = engine.run(&sub_trace);
         assert_eq!(
             solo.to_json().to_pretty(),
@@ -152,7 +154,7 @@ fn single_shard_cluster_equals_the_bare_engine() {
     let trace = bursty_trace(30);
     let report = Cluster::new(cfg.clone()).run(&trace);
     assert!(report.sheds.is_empty(), "an unbounded single shard admits everything");
-    let engine = InferenceEngine::from_source(cfg.source, cfg.batch, 3);
+    let engine = InferenceEngine::build(EngineSpec::new(cfg.source).policy(cfg.batch).workers(3));
     let solo = engine.run(&trace);
     assert_eq!(solo.to_json().to_pretty(), report.shard_reports[0].to_json().to_pretty());
     assert_eq!(solo.latencies, report.latencies);

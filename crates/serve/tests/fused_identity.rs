@@ -4,9 +4,7 @@
 //!    `Network::predictive_fused_into` (all `S` sampled passes batched into one stacked
 //!    walk) produces byte-identical responses to the historical per-sample path, on both
 //!    architecture families and across `S` ∈ {1, 2, 8, 16}.
-//! 2. **The `EngineSpec` builder is a refactor, not a behavior change.** Engines built via
-//!    [`InferenceEngine::build`] serialize identically to the deprecated constructor ladder.
-//! 3. **Bit-exact kernel tiers cannot change a response.** Forcing any tier in
+//! 2. **Bit-exact kernel tiers cannot change a response.** Forcing any tier in
 //!    [`bnn_tensor::KernelTier::BIT_EXACT`] (or any GEMM worker count) on a replica leaves
 //!    every response byte equal to the reference tier's.
 
@@ -61,27 +59,6 @@ fn fused_and_per_sample_engines_serialize_identically() {
     let fused = InferenceEngine::build(base.clone()).run(&requests);
     let per_sample = InferenceEngine::build(base.fused_sampling(false)).run(&requests);
     assert_eq!(fused.to_json().to_pretty(), per_sample.to_json().to_pretty());
-}
-
-#[test]
-fn engine_spec_reproduces_the_deprecated_constructor_ladder() {
-    let spec = ModelSpec::mlp(37);
-    let requests = trace(&spec, 16, 4);
-    let policy = BatchPolicy { max_batch: 5, max_wait_ticks: 10 };
-    let ladder = InferenceEngine::new(spec.clone(), policy, 2).run(&requests);
-    let built = InferenceEngine::build(EngineSpec::new(spec.clone()).policy(policy).workers(2))
-        .run(&requests);
-    assert_eq!(ladder.to_json().to_pretty(), built.to_json().to_pretty());
-
-    // Same for the mode-explicit rung: a Moment engine from the ladder equals a Moment spec.
-    let source = bnn_serve::ModelSource::Spec(spec.clone());
-    let ladder =
-        InferenceEngine::from_source_with_mode(source, ServeMode::Moment, policy, 2).run(&requests);
-    let built = InferenceEngine::build(
-        EngineSpec::new(spec).mode(ServeMode::Moment).policy(policy).workers(2),
-    )
-    .run(&requests);
-    assert_eq!(ladder.to_json().to_pretty(), built.to_json().to_pretty());
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //! 4. all of the above is invariant across worker counts.
 
 use bnn_serve::{
-    BatchPolicy, CheckpointReplica, InferenceEngine, ModelSource, ModelSpec, VersionSwap,
-    WorkloadSpec,
+    BatchPolicy, CheckpointReplica, EngineSpec, InferenceEngine, ModelSource, ModelSpec,
+    VersionSwap, WorkloadSpec,
 };
 
 fn trace(spec: &ModelSpec, requests: usize) -> Vec<bnn_serve::InferRequest> {
@@ -29,7 +29,7 @@ fn swap_splits_the_trace_at_a_deterministic_tick_boundary() {
     let (v1, v2) = two_versions();
     let policy = BatchPolicy { max_batch: 4, max_wait_ticks: 8 };
     let requests = trace(&v1, 32);
-    let engine = InferenceEngine::new(v1.clone(), policy, 2);
+    let engine = InferenceEngine::build(EngineSpec::new(v1.clone()).policy(policy).workers(2));
     let swap_tick = 60;
     let swapped =
         engine.run_with_swaps(&requests, &[VersionSwap { at_tick: swap_tick, source: v2.clone() }]);
@@ -57,7 +57,8 @@ fn swap_splits_the_trace_at_a_deterministic_tick_boundary() {
 
     // Per-request responses match the corresponding single-version run on each side.
     let old_only = engine.run(&requests);
-    let new_only = InferenceEngine::from_source(v2, policy, 2).run(&requests);
+    let new_only =
+        InferenceEngine::build(EngineSpec::new(v2).policy(policy).workers(2)).run(&requests);
     for (i, response) in swapped.responses.iter().enumerate() {
         let expected = if swapped.batches[batch_index_of(&swapped, i)].version == 0 {
             &old_only
@@ -104,10 +105,12 @@ fn swapped_runs_are_worker_invariant() {
     let policy = BatchPolicy { max_batch: 3, max_wait_ticks: 10 };
     let requests = trace(&v1, 24);
     let swaps = vec![VersionSwap { at_tick: 50, source: v2 }];
-    let baseline = InferenceEngine::new(v1.clone(), policy, 1).run_with_swaps(&requests, &swaps);
+    let baseline = InferenceEngine::build(EngineSpec::new(v1.clone()).policy(policy).workers(1))
+        .run_with_swaps(&requests, &swaps);
     for workers in [2, 3, 8] {
         let parallel =
-            InferenceEngine::new(v1.clone(), policy, workers).run_with_swaps(&requests, &swaps);
+            InferenceEngine::build(EngineSpec::new(v1.clone()).policy(policy).workers(workers))
+                .run_with_swaps(&requests, &swaps);
         assert_eq!(
             baseline.responses_json(),
             parallel.responses_json(),
@@ -132,11 +135,13 @@ fn swap_to_a_checkpoint_source_answers_with_the_loaded_posterior() {
     .unwrap();
     let policy = BatchPolicy { max_batch: 4, max_wait_ticks: 6 };
     let requests = trace(&v1, 20);
-    let swapped = InferenceEngine::new(v1, policy, 2).run_with_swaps(
-        &requests,
-        &[VersionSwap { at_tick: 40, source: ModelSource::Checkpoint(checkpoint) }],
-    );
-    let v2_only = InferenceEngine::new(v2_spec, policy, 2).run(&requests);
+    let swapped = InferenceEngine::build(EngineSpec::new(v1).policy(policy).workers(2))
+        .run_with_swaps(
+            &requests,
+            &[VersionSwap { at_tick: 40, source: ModelSource::Checkpoint(checkpoint) }],
+        );
+    let v2_only =
+        InferenceEngine::build(EngineSpec::new(v2_spec).policy(policy).workers(2)).run(&requests);
     for (i, batch_version) in
         (0..requests.len()).map(|i| (i, swapped.batches[batch_index_of(&swapped, i)].version))
     {
@@ -151,7 +156,9 @@ fn swap_to_a_checkpoint_source_answers_with_the_loaded_posterior() {
 fn unsorted_swap_schedules_are_rejected() {
     let (v1, v2) = two_versions();
     let requests = trace(&v1, 4);
-    let engine = InferenceEngine::new(v1.clone(), BatchPolicy::unbatched(), 1);
+    let engine = InferenceEngine::build(
+        EngineSpec::new(v1.clone()).policy(BatchPolicy::unbatched()).workers(1),
+    );
     let swaps = vec![
         VersionSwap { at_tick: 50, source: v2.clone() },
         VersionSwap { at_tick: 10, source: v2 },
@@ -165,7 +172,7 @@ fn runs_without_swaps_are_unchanged_by_the_swap_machinery() {
     let (v1, _) = two_versions();
     let policy = BatchPolicy { max_batch: 5, max_wait_ticks: 12 };
     let requests = trace(&v1, 16);
-    let engine = InferenceEngine::new(v1, policy, 2);
+    let engine = InferenceEngine::build(EngineSpec::new(v1).policy(policy).workers(2));
     let plain = engine.run(&requests);
     let empty_swaps = engine.run_with_swaps(&requests, &[]);
     assert_eq!(plain.responses_json(), empty_swaps.responses_json());

@@ -24,8 +24,7 @@
 //!   checkpoints are immutable (nothing in this API rewrites or deletes a version).
 //!
 //! A serving engine wires in through [`ModelRegistry::serve_source`], which loads a version
-//! (or the latest) as a [`ModelSource`] ready for `InferenceEngine::from_source` or a
-//! hot-swap schedule.
+//! (or the latest) as a [`ModelSource`] ready for an `EngineSpec` or a hot-swap schedule.
 
 use crate::checkpoint::Checkpoint;
 use crate::error::StoreError;
@@ -274,8 +273,8 @@ impl ModelRegistry {
     }
 
     /// Loads a version (or the latest, for `None`) as a serving [`ModelSource`], labelled
-    /// `"<name>@v<version>"` — ready for `InferenceEngine::from_source` or a
-    /// `VersionSwap`. `input_shape` is the request shape the served model expects.
+    /// `"<name>@v<version>"` — ready for an `EngineSpec` or a `VersionSwap`. `input_shape` is
+    /// the request shape the served model expects.
     ///
     /// The `None` (latest) path goes through [`ModelRegistry::load_latest_valid`]: a corrupt
     /// newest version falls back to the last good one instead of failing the server. An

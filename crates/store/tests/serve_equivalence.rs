@@ -8,8 +8,8 @@
 //! came from.
 
 use bnn_serve::{
-    BatchPolicy, CheckpointReplica, InferenceEngine, ModelSource, ServeMode, VersionSwap,
-    WorkloadSpec,
+    BatchPolicy, CheckpointReplica, EngineSpec, InferenceEngine, ModelSource, ServeMode,
+    VersionSwap, WorkloadSpec,
 };
 use bnn_store::{Checkpoint, ModelRegistry};
 use bnn_train::data::SyntheticDataset;
@@ -69,10 +69,13 @@ fn registry_loaded_replicas_answer_byte_identically_to_in_memory_ones() {
 
     let policy = BatchPolicy { max_batch: 4, max_wait_ticks: 8 };
     let requests = trace(18);
-    let baseline = InferenceEngine::from_source(in_memory, policy, 1).run(&requests);
+    let baseline =
+        InferenceEngine::build(EngineSpec::new(in_memory).policy(policy).workers(1)).run(&requests);
     for workers in [1, 2, 4] {
-        let served =
-            InferenceEngine::from_source(from_disk.clone(), policy, workers).run(&requests);
+        let served = InferenceEngine::build(
+            EngineSpec::new(from_disk.clone()).policy(policy).workers(workers),
+        )
+        .run(&requests);
         assert_eq!(
             baseline.responses_json(),
             served.responses_json(),
@@ -97,20 +100,23 @@ fn hot_swapped_checkpoint_replicas_match_their_dedicated_engine() {
     let requests = trace(24);
     let swaps = [VersionSwap { at_tick: 45, source: v2.clone() }];
 
-    let baseline =
-        InferenceEngine::from_source(v1.clone(), policy, 1).run_with_swaps(&requests, &swaps);
+    let baseline = InferenceEngine::build(EngineSpec::new(v1.clone()).policy(policy).workers(1))
+        .run_with_swaps(&requests, &swaps);
     // 1-vs-N workers: byte-identical, swap schedule included.
     for workers in [2, 4] {
-        let parallel = InferenceEngine::from_source(v1.clone(), policy, workers)
-            .run_with_swaps(&requests, &swaps);
+        let parallel =
+            InferenceEngine::build(EngineSpec::new(v1.clone()).policy(policy).workers(workers))
+                .run_with_swaps(&requests, &swaps);
         assert_eq!(baseline.responses_json(), parallel.responses_json());
         assert_eq!(baseline.batches, parallel.batches);
     }
 
     // Each side of the boundary matches the single-version engine built from the same
     // registry artifact — the swapped-in replica is not an approximation of v2, it *is* v2.
-    let v1_only = InferenceEngine::from_source(v1, policy, 2).run(&requests);
-    let v2_only = InferenceEngine::from_source(v2, policy, 2).run(&requests);
+    let v1_only =
+        InferenceEngine::build(EngineSpec::new(v1).policy(policy).workers(2)).run(&requests);
+    let v2_only =
+        InferenceEngine::build(EngineSpec::new(v2).policy(policy).workers(2)).run(&requests);
     let mut request_index = 0usize;
     let mut saw_both = (false, false);
     for batch in &baseline.batches {
@@ -190,15 +196,17 @@ fn moment_mode_survives_the_checkpoint_round_trip() {
 
     let policy = BatchPolicy { max_batch: 4, max_wait_ticks: 8 };
     let requests = trace(18);
-    let baseline = InferenceEngine::from_source_with_mode(in_memory, ServeMode::Moment, policy, 1)
-        .run(&requests);
+    let baseline = InferenceEngine::build(
+        EngineSpec::new(in_memory).mode(ServeMode::Moment).policy(policy).workers(1),
+    )
+    .run(&requests);
     assert!(baseline.responses.iter().all(|r| r.samples == 0));
     for workers in [1, 2, 4] {
-        let served = InferenceEngine::from_source_with_mode(
-            from_disk.clone(),
-            ServeMode::Moment,
-            policy,
-            workers,
+        let served = InferenceEngine::build(
+            EngineSpec::new(from_disk.clone())
+                .mode(ServeMode::Moment)
+                .policy(policy)
+                .workers(workers),
         )
         .run(&requests);
         assert_eq!(
@@ -210,7 +218,9 @@ fn moment_mode_survives_the_checkpoint_round_trip() {
 
     // The backends answer from the same posterior but are genuinely different summaries:
     // Monte-Carlo responses over the same trace differ from the analytic ones.
-    let mc = InferenceEngine::from_source_with_mode(from_disk, ServeMode::MonteCarlo, policy, 2)
-        .run(&requests);
+    let mc = InferenceEngine::build(
+        EngineSpec::new(from_disk).mode(ServeMode::MonteCarlo).policy(policy).workers(2),
+    )
+    .run(&requests);
     assert_ne!(baseline.responses_json(), mc.responses_json());
 }

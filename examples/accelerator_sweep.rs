@@ -10,7 +10,7 @@
 use bnn_arch::EnergyModel;
 use bnn_models::{paper_bnns, ModelKind};
 use shift_bnn::designs::DesignKind;
-use shift_bnn::sweep::{pool, run_sweep, SweepGrid, SweepPrecision};
+use shift_bnn::sweep::{run_sweep, SweepGrid, SweepPrecision};
 
 fn main() {
     let sample_counts = vec![8usize, 16, 32];
@@ -20,7 +20,7 @@ fn main() {
         sample_counts: sample_counts.clone(),
         precisions: vec![SweepPrecision::Bits16],
     };
-    let report = run_sweep(&grid, pool::default_workers(), &EnergyModel::default());
+    let report = run_sweep(&grid, bnn_pool::default_workers(), &EnergyModel::default());
 
     println!(
         "{:<12} {:>4} {:>12} {:>14} {:>14} {:>16} {:>14}",

@@ -5,8 +5,8 @@
 use bnn_models::workload::ModelVolume;
 use bnn_models::ModelKind;
 use bnn_serve::{
-    BatchPolicy, Cluster, ClusterConfig, FaultEvent, FaultPlan, InferenceEngine, RequestOutcome,
-    RetryPolicy, RoutingPolicy, ServeMode, ShardSwap, VersionSwap, WorkloadSpec,
+    BatchPolicy, Cluster, ClusterConfig, EngineSpec, FaultEvent, FaultPlan, InferenceEngine,
+    RequestOutcome, RetryPolicy, RoutingPolicy, ServeMode, ShardSwap, VersionSwap, WorkloadSpec,
 };
 use bnn_store::{Checkpoint, ModelRegistry};
 use bnn_train::data::SyntheticDataset;
@@ -185,7 +185,7 @@ fn cluster_serves_registry_versions_across_a_hot_swap() {
         })
         .collect();
     assert!(!sub_trace.is_empty());
-    let engine = InferenceEngine::from_source(v1_source, batch, 1);
+    let engine = InferenceEngine::build(EngineSpec::new(v1_source).policy(batch).workers(1));
     let solo =
         engine.run_with_swaps(&sub_trace, &[VersionSwap { at_tick: swap_tick, source: v2_source }]);
     assert_eq!(
