@@ -27,10 +27,10 @@ use bnn_tensor::kernels::{
     conv2d_backward_input_into, conv2d_backward_weights_into, conv2d_forward_into,
     gemm_accumulate_tiered,
 };
-use bnn_tensor::{KernelConfig, KernelTier, Scratch, Tensor};
+use bnn_tensor::{KernelConfig, KernelTier, Precision, Scratch, Tensor};
 use bnn_train::trainer::{Trainer, TrainerConfig};
 use bnn_train::variational::BayesConfig;
-use bnn_train::Network;
+use bnn_train::{LayerSnapshot, Network};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shift_bnn::sweep::json::Json;
@@ -360,6 +360,62 @@ pub fn run_fused_serve_bench(reps: usize, samples: usize) -> FusedServeBench {
     let fused_ns = best_of(reps, || fused.answer_into(&request, &mut response));
     let per_sample_ns = best_of(reps, || per_sample.answer_into(&request, &mut check));
     FusedServeBench { samples, per_sample_ns, fused_ns, digest }
+}
+
+/// Timing of one `softplus` sweep over a posterior against one weight sample on the same
+/// layer: [`VariationalParams::sigma`](bnn_train::variational::VariationalParams::sigma)
+/// evaluates `σ = softplus(ρ)` per weight — what every `sample_into` paid before σ was
+/// memoized — while `sample_into` reads the memo and pays one multiply-add per weight.
+#[derive(Debug, Clone)]
+pub struct FrozenSigmaBench {
+    /// Weights in the benchmarked layer.
+    pub weights: usize,
+    /// `sigma()`, nanoseconds per call.
+    pub sigma_ns: f64,
+    /// `sample_into` with a derived memo, nanoseconds per call.
+    pub sample_ns: f64,
+}
+
+impl FrozenSigmaBench {
+    /// σ-sweep / sample wall-clock ratio — the `frozen_sigma` gate (≈ 1 when every sample
+    /// re-evaluates `softplus`).
+    pub fn speedup(&self) -> f64 {
+        self.sigma_ns / self.sample_ns
+    }
+}
+
+/// Benchmarks the σ sweep against one memoized sample on the largest Bayesian layer of the
+/// B-LeNet serving proxy.
+///
+/// # Panics
+///
+/// Panics if the sampled weights are not bit-identical to `μ + ε·sigma()`.
+pub fn run_frozen_sigma_bench(reps: usize) -> FrozenSigmaBench {
+    let params = ModelSpec::lenet(7)
+        .build()
+        .snapshot()
+        .layers
+        .into_iter()
+        .filter_map(|layer| match layer {
+            LayerSnapshot::Linear { weights, .. } | LayerSnapshot::Conv { weights, .. } => {
+                Some(weights)
+            }
+            _ => None,
+        })
+        .max_by_key(|weights| weights.len())
+        .expect("the LeNet proxy has Bayesian layers");
+    let epsilon = fill_tensor(0x5167, params.shape()).data().to_vec();
+    let mut w = Tensor::zeros(params.shape());
+    params.sample_into(&epsilon, Precision::Fp32, &mut w);
+    let sigma = params.sigma();
+    for (i, ((&got, &m), (&e, &s))) in
+        w.data().iter().zip(params.mu().data()).zip(epsilon.iter().zip(sigma.data())).enumerate()
+    {
+        assert_eq!(got.to_bits(), (m + e * s).to_bits(), "sampled weight {i} diverged");
+    }
+    let sigma_ns = best_of(reps, || params.sigma());
+    let sample_ns = best_of(reps, || params.sample_into(&epsilon, Precision::Fp32, &mut w));
+    FrozenSigmaBench { weights: params.len(), sigma_ns, sample_ns }
 }
 
 /// Timing result of the ε-generation comparison.
@@ -736,14 +792,15 @@ pub fn summary_json(
 
 /// Builds the full (machine-dependent) report written to `BENCH_hot.json` — timings,
 /// speedups and the geometric mean alongside everything in the summary, plus PR 8's
-/// per-tier GEMM arms, the fused-serving arm and the named `speedups` object gated by
-/// `bench_regression --min-speedup`.
+/// per-tier GEMM arms, the fused-serving arm, the frozen-σ arm and the named `speedups`
+/// object gated by `bench_regression --min-speedup`.
 #[allow(clippy::too_many_arguments)]
 pub fn full_json(
     kernels: &[KernelBench],
     tiers: &[TierBench],
     fused: &FusedServeBench,
     obs: &ObsOverheadBench,
+    frozen: &FrozenSigmaBench,
     epsilon: &EpsilonBench,
     train_allocs: u64,
     serve_allocs: u64,
@@ -820,11 +877,21 @@ pub fn full_json(
             ]),
         ),
         (
+            "frozen_sigma",
+            Json::obj([
+                ("weights", Json::UInt(frozen.weights as u64)),
+                ("sigma_ns", Json::Float(frozen.sigma_ns)),
+                ("sample_ns", Json::Float(frozen.sample_ns)),
+                ("speedup", Json::Float(frozen.speedup())),
+            ]),
+        ),
+        (
             "speedups",
             Json::obj([
                 ("simd_gemm", Json::Float(geometric_mean(&simd))),
                 ("fused_sampling", Json::Float(fused.speedup())),
                 ("obs_overhead", Json::Float(obs.overhead())),
+                ("frozen_sigma", Json::Float(frozen.speedup())),
             ]),
         ),
         (
@@ -889,12 +956,22 @@ mod tests {
         let tiers = run_tier_benches(1);
         let fused = run_fused_serve_bench(1, 4);
         let obs = run_obs_overhead_bench(1, 8);
+        let frozen = run_frozen_sigma_bench(1);
         let epsilon = run_epsilon_bench(1, 128);
-        let doc = full_json(&kernels, &tiers, &fused, &obs, &epsilon, 0, 0, 0).to_compact();
+        let doc =
+            full_json(&kernels, &tiers, &fused, &obs, &frozen, &epsilon, 0, 0, 0).to_compact();
         assert!(doc.contains("\"speedups\""));
         assert!(doc.contains("\"simd_gemm\""));
         assert!(doc.contains("\"fused_sampling\""));
         assert!(doc.contains("\"obs_overhead\""));
+        assert!(doc.contains("\"frozen_sigma\""));
+    }
+
+    #[test]
+    fn frozen_sigma_bench_times_the_largest_lenet_layer() {
+        let frozen = run_frozen_sigma_bench(1);
+        assert_eq!(frozen.weights, 64 * 144, "the proxy's first dense layer is its largest");
+        assert!(frozen.sigma_ns > 0.0 && frozen.sample_ns > 0.0);
     }
 
     #[test]

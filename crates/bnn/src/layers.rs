@@ -352,8 +352,8 @@ impl Layer for BayesLinear {
     /// [`fused_linear_accumulate`]'s i-outer rank-1 updates then add each output scalar's
     /// terms in precisely the per-sample dot loop's ascending-`i` order, so the stacked
     /// result is bit-identical (pinned by the kernel's proptest and the serve/train identity
-    /// tests). When `train` is false the complexity-loss transcendentals and the input cache
-    /// are skipped — the dominant serving win on MLP stacks.
+    /// tests). When `train` is false the complexity loss (one `ln` per weight) and the input
+    /// cache are skipped.
     fn forward_all(
         &mut self,
         stacked: Tensor,
@@ -639,9 +639,8 @@ impl Layer for BayesConv2d {
 
     /// Fused evaluation: the convolution itself stays per-sample (each sample owns a full
     /// im2col+GEMM pass over its own sampled kernel), but inference-only calls skip the
-    /// complexity-loss transcendentals and the input cache — the dominant per-sample serving
-    /// cost for convolutional stacks. Training calls defer to the split walk, which leaves
-    /// byte-identical caches for the per-sample backward stage.
+    /// complexity loss (one `ln` per weight) and the input cache. Training calls defer to the
+    /// split walk, which leaves byte-identical caches for the per-sample backward stage.
     fn forward_all(
         &mut self,
         stacked: Tensor,

@@ -10,11 +10,20 @@
 //! * `Δσ = ε·(∂NLL/∂w + λ·w/σ_c²) − λ/σ`, then `Δρ = Δσ·sigmoid(ρ)` through the softplus
 //!   reparameterization. The ε factor is why the backward stage needs every forward ε again —
 //!   the data-movement problem Shift-BNN eliminates.
+//!
+//! σ and `sigmoid(ρ)` change only when ρ does, so each parameter set keeps a per-weight memo
+//! of both: derived from ρ on first use, refreshed in place by
+//! [`VariationalParams::sgd_step`], and neither cloned, compared nor serialized. Sampling,
+//! the complexity loss and the gradients read it instead of paying an `exp`/`ln_1p` per
+//! weight per sample; the memo holds the same f32 function of the same input, so every
+//! result is bit-identical to evaluating it per element.
 
 use bnn_tensor::activation::{sigmoid, softplus, softplus_inverse};
 use bnn_tensor::init::{fan_in_out, xavier_uniform};
 use bnn_tensor::{Precision, Tensor, TensorError};
 use rand::Rng;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Hyper-parameters shared by every Bayesian layer of a network.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,6 +61,62 @@ pub struct VariationalParams {
     rho: Tensor,
     grad_mu: Tensor,
     grad_rho: Tensor,
+    memo: SigmaMemo,
+}
+
+/// `σ = softplus(ρ)` and `sigmoid(ρ)` per weight, derived from ρ on first use. A clone starts
+/// empty and every memo compares equal, so the memo never changes what a parameter set *is*.
+#[derive(Default)]
+struct SigmaMemo(OnceLock<Frozen>);
+
+struct Frozen {
+    sigma: Vec<f32>,
+    sigmoid: Vec<f32>,
+}
+
+impl Frozen {
+    fn refresh(&mut self, rho: &[f32]) {
+        for ((s, g), &r) in self.sigma.iter_mut().zip(&mut self.sigmoid).zip(rho) {
+            *s = softplus(r);
+            *g = sigmoid(r);
+        }
+    }
+}
+
+impl SigmaMemo {
+    fn get(&self, rho: &Tensor) -> &Frozen {
+        self.0.get_or_init(|| {
+            let n = rho.len();
+            let mut frozen = Frozen { sigma: vec![0.0; n], sigmoid: vec![0.0; n] };
+            frozen.refresh(rho.data());
+            frozen
+        })
+    }
+
+    /// Re-derives an existing memo in place after ρ moved; an underived memo stays lazy.
+    fn refresh(&mut self, rho: &Tensor) {
+        if let Some(frozen) = self.0.get_mut() {
+            frozen.refresh(rho.data());
+        }
+    }
+}
+
+impl Clone for SigmaMemo {
+    fn clone(&self) -> Self {
+        SigmaMemo::default()
+    }
+}
+
+impl PartialEq for SigmaMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for SigmaMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SigmaMemo").field("derived", &self.0.get().is_some()).finish()
+    }
 }
 
 impl VariationalParams {
@@ -60,7 +125,7 @@ impl VariationalParams {
         let (fan_in, fan_out) = fan_in_out(shape);
         let mu = xavier_uniform(shape, fan_in, fan_out, rng);
         let rho = Tensor::filled(shape, config.init_rho);
-        Self { grad_mu: Tensor::zeros(shape), grad_rho: Tensor::zeros(shape), mu, rho }
+        Self::assemble(mu, rho, Tensor::zeros(shape), Tensor::zeros(shape))
     }
 
     /// Creates parameters from explicit μ and σ tensors (σ is converted to ρ).
@@ -72,7 +137,7 @@ impl VariationalParams {
         assert_eq!(mu.shape(), sigma.shape(), "mu and sigma must share a shape");
         let rho = sigma.map(softplus_inverse);
         let shape = mu.shape().to_vec();
-        Self { grad_mu: Tensor::zeros(&shape), grad_rho: Tensor::zeros(&shape), mu, rho }
+        Self::assemble(mu, rho, Tensor::zeros(&shape), Tensor::zeros(&shape))
     }
 
     /// Reassembles parameters from captured tensors, bit-exactly — the checkpoint-restore
@@ -97,7 +162,11 @@ impl VariationalParams {
                 });
             }
         }
-        Ok(Self { mu, rho, grad_mu, grad_rho })
+        Ok(Self::assemble(mu, rho, grad_mu, grad_rho))
+    }
+
+    fn assemble(mu: Tensor, rho: Tensor, grad_mu: Tensor, grad_rho: Tensor) -> Self {
+        Self { mu, rho, grad_mu, grad_rho, memo: SigmaMemo::default() }
     }
 
     /// The mean tensor μ.
@@ -110,7 +179,8 @@ impl VariationalParams {
         &self.rho
     }
 
-    /// The posterior standard deviation `σ = softplus(ρ)`.
+    /// The posterior standard deviation `σ = softplus(ρ)`, evaluated afresh (one `softplus`
+    /// sweep; the sampling paths read the memo instead).
     pub fn sigma(&self) -> Tensor {
         self.rho.map(softplus)
     }
@@ -131,9 +201,9 @@ impl VariationalParams {
     }
 
     /// Samples a weight tensor `w = μ + ε∘σ` into a caller-provided tensor, quantizing to the
-    /// configured precision — the zero-allocation sampling primitive of the hot path (σ is
-    /// computed per element instead of materializing a σ tensor; `softplus` is deterministic,
-    /// so the values are bit-identical to the allocating form).
+    /// configured precision — the zero-allocation sampling primitive of the hot path. σ comes
+    /// from the memo, so after the first call (which derives it) a sample costs one
+    /// multiply-add per weight.
     ///
     /// # Panics
     ///
@@ -141,11 +211,14 @@ impl VariationalParams {
     pub fn sample_into(&self, epsilon: &[f32], precision: Precision, out: &mut Tensor) {
         assert_eq!(epsilon.len(), self.len(), "epsilon block size must match weight count");
         assert_eq!(out.len(), self.len(), "output tensor must match weight count");
-        for (((wv, &m), &e), &rho) in
-            out.data_mut().iter_mut().zip(self.mu.data()).zip(epsilon).zip(self.rho.data())
+        let sigma = &self.memo.get(&self.rho).sigma;
+        for (((wv, &m), &e), &s) in
+            out.data_mut().iter_mut().zip(self.mu.data()).zip(epsilon).zip(sigma)
         {
-            *wv = precision.quantize(m + e * softplus(rho));
+            *wv = m + e * s;
         }
+        // A separate pass (a no-op at Fp32) keeps the multiply-add loop vectorizable.
+        precision.quantize_tensor_inplace(out);
     }
 
     /// Samples a weight tensor `w = μ + ε∘σ`, quantizing the result to the configured precision
@@ -161,13 +234,21 @@ impl VariationalParams {
     }
 
     /// Complexity contribution `Σ_i [log q(w_i|θ) − log P(w_i)]` for a sampled weight tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len()` or `epsilon.len()` differs from the parameter count.
     pub fn complexity_loss(&self, weights: &Tensor, epsilon: &[f32], prior_sigma: f32) -> f32 {
+        assert_eq!(weights.len(), self.len(), "weight tensor must match weight count");
+        assert_eq!(epsilon.len(), self.len(), "epsilon block size must match weight count");
+        let neg_log_prior_sigma = -(prior_sigma as f64).ln();
+        let prior_var = (prior_sigma as f64).powi(2);
         let mut total = 0.0f64;
-        for ((&w, &e), &rho) in weights.data().iter().zip(epsilon).zip(self.rho.data()) {
-            let s = softplus(rho);
+        for ((&w, &e), &s) in
+            weights.data().iter().zip(epsilon).zip(&self.memo.get(&self.rho).sigma)
+        {
             let log_q = -(s as f64).ln() - 0.5 * (e as f64) * (e as f64);
-            let log_p = -(prior_sigma as f64).ln()
-                - 0.5 * (w as f64) * (w as f64) / (prior_sigma as f64).powi(2);
+            let log_p = neg_log_prior_sigma - 0.5 * (w as f64) * (w as f64) / prior_var;
             total += log_q - log_p;
         }
         total as f32
@@ -190,18 +271,15 @@ impl VariationalParams {
         assert_eq!(weights.len(), self.len());
         assert_eq!(epsilon.len(), self.len());
         let inv_prior_var = 1.0 / (config.prior_sigma * config.prior_sigma);
-        let gm = self.grad_mu.data_mut();
-        let gr = self.grad_rho.data_mut();
-        for i in 0..gm.len() {
-            let gw = grad_w_likelihood.data()[i];
-            let w = weights.data()[i];
-            let e = epsilon[i];
-            let rho = self.rho.data()[i];
-            let s = softplus(rho);
+        let frozen = self.memo.get(&self.rho);
+        let accumulators = self.grad_mu.data_mut().iter_mut().zip(self.grad_rho.data_mut());
+        let terms = grad_w_likelihood.data().iter().zip(weights.data()).zip(epsilon);
+        let memo = frozen.sigma.iter().zip(&frozen.sigmoid);
+        for ((gm, gr), (((&gw, &w), &e), (&s, &sg))) in accumulators.zip(terms.zip(memo)) {
             let total_w_grad = gw + config.kl_weight * w * inv_prior_var;
-            gm[i] += total_w_grad;
+            *gm += total_w_grad;
             let dsigma = e * total_w_grad - config.kl_weight / s;
-            gr[i] += dsigma * sigmoid(rho);
+            *gr += dsigma * sg;
         }
     }
 
@@ -212,7 +290,7 @@ impl VariationalParams {
     }
 
     /// Applies one SGD step with the accumulated gradients averaged over `samples`, then clears
-    /// the accumulators.
+    /// the accumulators and refreshes a derived σ memo in place (the only place ρ changes).
     ///
     /// # Panics
     ///
@@ -222,6 +300,7 @@ impl VariationalParams {
         let scale = -learning_rate / samples as f32;
         self.mu.axpy(scale, &self.grad_mu).expect("gradient shape matches parameters");
         self.rho.axpy(scale, &self.grad_rho).expect("gradient shape matches parameters");
+        self.memo.refresh(&self.rho);
         self.zero_grad();
     }
 
@@ -309,6 +388,21 @@ mod tests {
         let w = Tensor::filled(&[1], 3.0);
         let loss = p.complexity_loss(&w, &[0.0], 0.5);
         assert!(loss > 1.0, "narrow posterior far from the prior should cost, got {loss}");
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon block size must match weight count")]
+    fn complexity_loss_rejects_a_short_epsilon_block() {
+        let p = params();
+        let w = p.sample(&vec![0.0; p.len()], Precision::Fp32);
+        p.complexity_loss(&w, &vec![0.0; p.len() - 1], 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight tensor must match weight count")]
+    fn complexity_loss_rejects_a_mismatched_weight_tensor() {
+        let p = params();
+        p.complexity_loss(&Tensor::zeros(&[p.len() + 1]), &vec![0.0; p.len()], 0.5);
     }
 
     #[test]
