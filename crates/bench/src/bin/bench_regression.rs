@@ -19,7 +19,7 @@
 //! Usage: `cargo run --release -p shift-bnn-bench --bin bench_regression -- \
 //!   [--baseline BENCH_sweep_summary.json --fresh out/BENCH_sweep_summary.json] \
 //!   [--tolerance 1e-9] [--speedups out/BENCH_hot.json] \
-//!   [--min-speedup simd_gemm:1.3] [--min-speedup fused_sampling:1.5]`
+//!   [--min-speedup simd_gemm:12] [--min-speedup fused_sampling:1.5]`
 
 use shift_bnn::sweep::json::Json;
 use shift_bnn_bench::regression::compare;
@@ -53,9 +53,8 @@ fn parse_args() -> Args {
             "--speedups" => args.speedups = Some(it.next().expect("--speedups needs a path")),
             "--min-speedup" => {
                 let v = it.next().expect("--min-speedup needs name:floor");
-                let (name, floor) = v
-                    .split_once(':')
-                    .expect("--min-speedup must be name:floor, e.g. simd_gemm:1.3");
+                let (name, floor) =
+                    v.split_once(':').expect("--min-speedup must be name:floor, e.g. simd_gemm:12");
                 let floor: f64 = floor.parse().expect("--min-speedup floor must be a float");
                 assert!(floor > 0.0, "--min-speedup floor must be positive");
                 args.min_speedups.push((name.to_string(), floor));

@@ -116,7 +116,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "Hot-path kernels: retained reference loops vs im2col+blocked GEMM (bit-identical)",
+        "Hot-path kernels: retained reference loops vs im2col+tiered GEMM (bit-identical)",
         &["geometry", "op", "reference µs", "packed µs", "speedup"],
         &rows,
     );
@@ -136,12 +136,12 @@ fn main() {
         .collect();
     print_table(
         "GEMM kernel tiers (bit-exact tiers asserted identical; fastmath ULP-bounded)",
-        &["shape", "reference µs", "blocked µs", "simd µs", "fastmath µs", "simd/blocked"],
+        &["shape", "reference µs", "simd µs", "fastmath µs", "reference/simd"],
         &tier_rows,
     );
     let simd_gemm =
         geometric_mean(&tiers.iter().map(TierBench::simd_speedup).collect::<Vec<f64>>());
-    println!("\ngeometric-mean SIMD-over-blocked GEMM speedup: {simd_gemm:.2}x");
+    println!("\ngeometric-mean SIMD-over-reference GEMM speedup: {simd_gemm:.2}x");
     println!(
         "fused sampling (S = {}): per-sample {:.1} µs, fused {:.1} µs ({:.2}x), \
          response digest {}",

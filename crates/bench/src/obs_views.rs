@@ -220,7 +220,10 @@ pub fn obs_profile_requests(reduced: bool) -> usize {
 pub fn obs_profile_json(reduced: bool) -> Json {
     let samples = 8usize;
     let spec = ModelSpec::lenet(7);
-    let mut replica = ServeReplica::build(&EngineSpec::new(spec.clone()));
+    // The per-tier counts are committed, so the replica pins the default tier rather than
+    // following a `SHIFT_BNN_KERNEL_TIER` override (CI's forced-tier legs run this golden).
+    let engine = EngineSpec::new(spec.clone()).kernel_tier(bnn_tensor::KernelTier::Simd);
+    let mut replica = ServeReplica::build(&engine);
     let mut request = InferRequest {
         id: 0,
         arrival_tick: 0,

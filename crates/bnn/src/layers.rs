@@ -20,7 +20,7 @@ use bnn_tensor::activation::{relu_backward_into, relu_into};
 use bnn_tensor::conv::ConvGeometry;
 use bnn_tensor::kernels::{
     conv2d_backward_input_into, conv2d_backward_weights_into, conv2d_forward_into,
-    fused_linear_accumulate, gemm_at_accumulate,
+    gemm_accumulate_tiered,
 };
 use bnn_tensor::pool::{max_pool2d_backward_into, max_pool2d_into};
 use bnn_tensor::{Scratch, Tensor, TensorError};
@@ -306,6 +306,14 @@ impl BayesLinear {
         self.weights.sample_into(epsilon, self.config.precision, &mut w);
         w
     }
+
+    /// Finishes one sample's `W·x` row in place: adds the bias after the whole sum, then
+    /// quantizes to the layer's precision.
+    fn add_bias_quantized(&self, row: &mut [f32]) {
+        for (v, &b) in row.iter_mut().zip(self.bias.data()) {
+            *v = self.config.precision.quantize(*v + b);
+        }
+    }
 }
 
 impl Layer for BayesLinear {
@@ -328,17 +336,12 @@ impl Layer for BayesLinear {
         self.accumulated_complexity += self.config.kl_weight
             * self.weights.complexity_loss(&w, &epsilon, self.config.prior_sigma);
 
-        // out = W·x + b, quantized — dot products accumulate the weights in ascending input
-        // order, matching the matmul the layer used to perform.
+        // out = W·x + b, quantized: the n = 1 GEMM into the zeroed output adds each row's
+        // terms in ascending input order, then the bias lands once, after the sum.
         let mut out = scratch.take_tensor(&[self.out_features]);
-        let (x, wd) = (input.data(), w.data());
-        for (i, o) in out.data_mut().iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for (&wv, &xv) in wd[i * self.in_features..(i + 1) * self.in_features].iter().zip(x) {
-                acc += wv * xv;
-            }
-            *o = self.config.precision.quantize(acc + self.bias.data()[i]);
-        }
+        let (outf, inf, cfg) = (self.out_features, self.in_features, scratch.kernel());
+        gemm_accumulate_tiered(cfg, out.data_mut(), w.data(), input.data(), outf, inf, 1);
+        self.add_bias_quantized(out.data_mut());
 
         scratch.put_tensor(w);
         scratch.put_f32(epsilon);
@@ -346,14 +349,13 @@ impl Layer for BayesLinear {
         Ok(out)
     }
 
-    /// Fused evaluation: all `S` sampled matvecs become one wide GEMM. Per sample the layer
-    /// draws ε and samples `w_s` exactly as [`Layer::forward`] does, then packs the weights
-    /// *transposed* into one `[in, S·out]` panel (`wt[i][s·out + o] = w_s[o][i]`);
-    /// [`fused_linear_accumulate`]'s i-outer rank-1 updates then add each output scalar's
-    /// terms in precisely the per-sample dot loop's ascending-`i` order, so the stacked
-    /// result is bit-identical (pinned by the kernel's proptest and the serve/train identity
-    /// tests). When `train` is false the complexity loss (one `ln` per weight) and the input
-    /// cache are skipped.
+    /// Fused evaluation: every sample's matvec runs as a row product. Per sample the layer
+    /// draws ε and samples `w_s` exactly as [`Layer::forward`] does, packs the weights
+    /// *transposed* (`wt[i][o] = w_s[o][i]`) and runs the `m = 1` GEMM `x_sᵀ·w_sᵀ`, whose
+    /// rank-1 row updates add each output scalar's terms in precisely the per-sample `n = 1`
+    /// product's ascending-`i` order, so the stacked result is bit-identical (pinned by the
+    /// kernel-tier proptests and the serve/train identity tests). When `train` is false the
+    /// complexity loss (one `ln` per weight) and the input cache are skipped.
     fn forward_all(
         &mut self,
         stacked: Tensor,
@@ -369,10 +371,10 @@ impl Layer for BayesLinear {
             });
         }
         let (inf, outf) = (self.in_features, self.out_features);
-        let width = samples * outf;
         let mut epsilon = scratch.take_f32(self.weights.len());
         let mut w = scratch.take_tensor(self.weights.shape());
-        let mut wt = scratch.take_f32(inf * width);
+        let mut wt = scratch.take_f32(inf * outf);
+        let mut out = scratch.take_tensor(&[samples, outf]);
         for (s, source) in sources.iter_mut().take(samples).enumerate() {
             source.generate_block_into(&mut epsilon);
             self.weights.sample_into(&epsilon, self.config.precision, &mut w);
@@ -383,25 +385,15 @@ impl Layer for BayesLinear {
                 input.data_mut().copy_from_slice(&stacked.data()[s * inf..(s + 1) * inf]);
                 cache_tensor(&mut self.cached_inputs, s, input, scratch);
             }
-            let wd = w.data();
-            for o in 0..outf {
-                for (i, &wv) in wd[o * inf..(o + 1) * inf].iter().enumerate() {
-                    wt[i * width + s * outf + o] = wv;
+            for (o, wrow) in w.data().chunks_exact(inf).enumerate() {
+                for (i, &wv) in wrow.iter().enumerate() {
+                    wt[i * outf + o] = wv;
                 }
             }
-        }
-
-        let mut out = scratch.take_tensor(&[samples, outf]);
-        fused_linear_accumulate(out.data_mut(), stacked.data(), &wt, samples, inf, outf);
-        {
-            let od = out.data_mut();
-            let bias = self.bias.data();
-            for s in 0..samples {
-                for (o, &b) in bias.iter().enumerate() {
-                    let v = &mut od[s * outf + o];
-                    *v = self.config.precision.quantize(*v + b);
-                }
-            }
+            let row = &mut out.data_mut()[s * outf..(s + 1) * outf];
+            let x = &stacked.data()[s * inf..(s + 1) * inf];
+            gemm_accumulate_tiered(scratch.kernel(), row, x, &wt, 1, inf, outf);
+            self.add_bias_quantized(row);
         }
 
         scratch.put_f32(wt);
@@ -432,31 +424,19 @@ impl Layer for BayesLinear {
         eps.retrieve_block_into(&mut epsilon);
         let w = self.sample_weights(&epsilon, scratch);
 
-        // Gradient w.r.t. the input: Wᵀ · grad_output, without materializing Wᵀ.
-        let mut grad_input = scratch.take_tensor(&[self.in_features]);
-        gemm_at_accumulate(
-            grad_input.data_mut(),
-            w.data(),
-            grad_output.data(),
-            self.in_features,
-            self.out_features,
-            1,
-        );
+        // Gradient w.r.t. the input: Wᵀ·g computed as the row product gᵀ·W, without
+        // materializing Wᵀ; each input scalar adds its terms in ascending output order.
+        let (outf, inf) = (self.out_features, self.in_features);
+        let cfg = scratch.kernel();
+        let g = grad_output.data();
+        let mut grad_input = scratch.take_tensor(&[inf]);
+        gemm_accumulate_tiered(cfg, grad_input.data_mut(), g, w.data(), 1, outf, inf);
 
-        // Likelihood gradient w.r.t. the weights: grad_output ⊗ input.
+        // Likelihood gradient w.r.t. the weights: the k = 1 product g ⊗ x into the zeroed
+        // buffer (an exact zero's sign may differ from g·x; the +0.0-seeded gradient
+        // accumulators absorb it).
         let mut grad_w = scratch.take_tensor(self.weights.shape());
-        {
-            let gw = grad_w.data_mut();
-            for (i, &g) in grad_output.data().iter().enumerate() {
-                if g == 0.0 {
-                    continue; // row stays zero, as in the sparse outer product
-                }
-                let row = &mut gw[i * self.in_features..(i + 1) * self.in_features];
-                for (r, &xv) in row.iter_mut().zip(input.data()) {
-                    *r = g * xv;
-                }
-            }
-        }
+        gemm_accumulate_tiered(cfg, grad_w.data_mut(), g, input.data(), outf, 1, inf);
         self.weights.accumulate_gradients(&grad_w, &w, &epsilon, &self.config);
         for (gb, &g) in self.grad_bias.data_mut().iter_mut().zip(grad_output.data()) {
             *gb += g;

@@ -11,8 +11,8 @@
 //!   of independent terms has
 //!   `E[y]_i = Σ_j μ_ij·E[x]_j + b_i` and
 //!   `Var[y]_i = Σ_j (μ²_ij·Var[x]_j + σ²_ij·(Var[x]_j + E[x]²_j))` — one GEMM for the mean
-//!   and two accumulating GEMMs (or convolutions) for the variance, riding the same blocked
-//!   kernels as the sampled path ([`bnn_tensor::kernels`]).
+//!   and two accumulating GEMMs (or convolutions) for the variance, riding the same tiered
+//!   GEMM as the sampled path ([`bnn_tensor::kernels`]).
 //! * **ReLU** (Gaussian approximation): treating the pre-activation as `X ~ N(m, s²)`, the
 //!   rectified moments are closed-form in the standard normal pdf `φ` and cdf `Φ`:
 //!   `E[max(X,0)] = m·Φ(m/s) + s·φ(m/s)` and
@@ -48,10 +48,10 @@
 use crate::network::{Network, Predictive};
 use crate::snapshot::{LayerSnapshot, NetworkSnapshot};
 use bnn_tensor::conv::ConvGeometry;
-use bnn_tensor::kernels::{conv2d_forward_into, gemm_accumulate};
+use bnn_tensor::kernels::{conv2d_forward_into, gemm_accumulate_tiered};
 use bnn_tensor::loss::softmax_inplace;
 use bnn_tensor::pool::max_pool2d_into;
-use bnn_tensor::{Scratch, Tensor, TensorError};
+use bnn_tensor::{KernelConfig, Scratch, Tensor, TensorError};
 
 /// `1/√(2π)`, the standard normal density normalizer.
 const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
@@ -202,13 +202,23 @@ impl MomentNetwork {
         Ok(MomentNetwork { layers, classes, scratch: Scratch::new() })
     }
 
-    /// Compiles a live network (convenience over [`MomentNetwork::from_snapshot`]).
+    /// Compiles a live network (convenience over [`MomentNetwork::from_snapshot`]); the
+    /// moment network inherits the network's kernel configuration.
     ///
     /// # Errors
     ///
     /// Propagates [`MomentNetwork::from_snapshot`] errors.
     pub fn from_network(network: &Network) -> Result<MomentNetwork, TensorError> {
-        MomentNetwork::from_snapshot(&network.snapshot())
+        let mut moment = MomentNetwork::from_snapshot(&network.snapshot())?;
+        moment.set_kernel(network.kernel());
+        Ok(moment)
+    }
+
+    /// Replaces the kernel configuration the mean/variance GEMMs dispatch on. Bit-exact
+    /// tiers ([`bnn_tensor::KernelTier::BIT_EXACT`]) and any `gemm_workers` count leave every
+    /// output bit unchanged.
+    pub fn set_kernel(&mut self, kernel: KernelConfig) {
+        self.scratch.set_kernel(kernel);
     }
 
     /// Classes at the head.
@@ -276,16 +286,19 @@ impl MomentNetwork {
                     // E[y] = μ·E[x] + b — one GEMM with n = 1.
                     let mut out_mean = self.scratch.take_tensor(&[out_f]);
                     out_mean.data_mut().copy_from_slice(bias.data());
-                    gemm_accumulate(out_mean.data_mut(), mu.data(), mean.data(), out_f, in_f, 1);
+                    let cfg = self.scratch.kernel();
+                    let (md, vd) = (mean.data(), var.data());
+                    gemm_accumulate_tiered(cfg, out_mean.data_mut(), mu.data(), md, out_f, in_f, 1);
                     // Var[y] = μ²·Var[x] + σ²·(Var[x] + E[x]²) — two accumulating GEMMs into
                     // the zero-filled output, sharing the second moment E[x²] buffer.
                     let mut m2 = self.scratch.take_tensor(&[in_f]);
-                    for ((d, &m), &v) in m2.data_mut().iter_mut().zip(mean.data()).zip(var.data()) {
+                    for ((d, &m), &v) in m2.data_mut().iter_mut().zip(md).zip(vd) {
                         *d = v + m * m;
                     }
                     let mut out_var = self.scratch.take_tensor(&[out_f]);
-                    gemm_accumulate(out_var.data_mut(), mu_sq.data(), var.data(), out_f, in_f, 1);
-                    gemm_accumulate(out_var.data_mut(), sigma_sq.data(), m2.data(), out_f, in_f, 1);
+                    let ov = out_var.data_mut();
+                    gemm_accumulate_tiered(cfg, ov, mu_sq.data(), vd, out_f, in_f, 1);
+                    gemm_accumulate_tiered(cfg, ov, sigma_sq.data(), m2.data(), out_f, in_f, 1);
                     self.scratch.put_tensor(m2);
                     self.scratch.put_tensor(mean);
                     self.scratch.put_tensor(var);

@@ -5,6 +5,7 @@
 //! training trajectory (losses, posteriors, GRNG states) when the trainer's forward stage
 //! runs fused.
 
+use bnn_tensor::{KernelConfig, KernelTier};
 use bnn_train::data::SyntheticDataset;
 use bnn_train::epsilon::LfsrForward;
 use bnn_train::network::Network;
@@ -14,6 +15,14 @@ use bnn_train::EpsilonSource;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The identity below holds for bit-exact tiers only: under a `SHIFT_BNN_KERNEL_TIER=fastmath`
+/// process default (a CI matrix leg) the fused `m = 1` and per-sample `n = 1` products may
+/// round differently, so every network here pins the default bit-exact tier.
+fn bit_exact(mut network: Network) -> Network {
+    network.set_kernel(KernelConfig::with_tier(KernelTier::Simd));
+    network
+}
 
 fn forward_sources(samples: usize, seed: u64) -> Vec<Box<dyn EpsilonSource>> {
     (1..=samples)
@@ -41,7 +50,7 @@ proptest! {
         if precision_16 {
             config = config.with_precision(bnn_tensor::Precision::PAPER_16BIT);
         }
-        let (mut net, input) = if conv {
+        let (net, input) = if conv {
             (
                 Network::bayes_lenet(&[1, 8, 8], 3, config, &mut rng),
                 bnn_tensor::init::splitmix_tensor(seed ^ 0xF0F0, &[1, 8, 8]),
@@ -52,6 +61,7 @@ proptest! {
                 bnn_tensor::init::splitmix_tensor(seed ^ 0xF0F0, &[9]),
             )
         };
+        let mut net = bit_exact(net);
         let mut sources = forward_sources(samples, seed);
         let per_sample = net.predictive(&input, &mut sources).unwrap();
         let mut sources = forward_sources(samples, seed);
@@ -81,7 +91,7 @@ proptest! {
                 Network::bayes_mlp(12, &[8], 3, config, &mut rng)
             };
             Trainer::new(
-                network,
+                bit_exact(network),
                 TrainerConfig { samples, learning_rate: 0.05, seed: seed ^ 0x5A5A, ..TrainerConfig::default() },
             )
             .unwrap()
@@ -115,7 +125,7 @@ proptest! {
 #[test]
 fn fused_predictive_reuses_its_buffers() {
     let mut rng = StdRng::seed_from_u64(77);
-    let mut net = Network::bayes_lenet(&[1, 8, 8], 3, BayesConfig::default(), &mut rng);
+    let mut net = bit_exact(Network::bayes_lenet(&[1, 8, 8], 3, BayesConfig::default(), &mut rng));
     let input = bnn_tensor::init::splitmix_tensor(123, &[1, 8, 8]);
     let mut out = net.predictive_fused(&input, &mut forward_sources(4, 9)).unwrap();
     // Warmup done; further fused calls must reuse the same buffers and reproduce the result.

@@ -17,15 +17,15 @@ use shift_bnn::sweep::json::Json;
 
 /// Kernel-tier labels in the tensor crate's oracle-first order — index `i` of the per-tier
 /// arrays below counts tier `TIER_LABELS[i]`.
-pub const TIER_LABELS: [&str; 4] = ["reference", "blocked", "simd", "fastmath"];
+pub const TIER_LABELS: [&str; 3] = ["reference", "simd", "fastmath"];
 
 /// A point-in-time copy of the thread-local hot-path counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileSnapshot {
     /// GEMM invocations per kernel tier (in [`TIER_LABELS`] order).
-    pub gemm_calls: [u64; 4],
+    pub gemm_calls: [u64; 3],
     /// Multiply-accumulate volume (`m·k·n` summed) per kernel tier.
-    pub gemm_macs: [u64; 4],
+    pub gemm_macs: [u64; 3],
     /// ε values drawn from the GRNG (each LFSR word yields 64 of them on the batch path).
     pub epsilon_values: u64,
     /// Scratch-arena high-water mark in `f32` slots since the last reset.
@@ -38,7 +38,7 @@ impl ProfileSnapshot {
     /// before the measured region, so it *is* the region's peak).
     pub fn delta_since(&self, earlier: &ProfileSnapshot) -> ProfileSnapshot {
         let mut delta = *self;
-        for i in 0..4 {
+        for i in 0..TIER_LABELS.len() {
             delta.gemm_calls[i] -= earlier.gemm_calls[i];
             delta.gemm_macs[i] -= earlier.gemm_macs[i];
         }
@@ -56,7 +56,7 @@ impl ProfileSnapshot {
         self.gemm_macs.iter().sum()
     }
 
-    /// The snapshot as a `sweep::json` document (all four tiers, fixed order).
+    /// The snapshot as a `sweep::json` document (every tier, fixed order).
     pub fn to_json(&self) -> Json {
         let tiers = TIER_LABELS.iter().enumerate().map(|(i, label)| {
             (
@@ -84,20 +84,20 @@ mod tests {
     #[test]
     fn delta_subtracts_monotone_counters_and_keeps_the_peak() {
         let before = ProfileSnapshot {
-            gemm_calls: [0, 0, 3, 0],
-            gemm_macs: [0, 0, 3000, 0],
+            gemm_calls: [0, 3, 0],
+            gemm_macs: [0, 3000, 0],
             epsilon_values: 128,
             scratch_high_water: 0,
         };
         let after = ProfileSnapshot {
-            gemm_calls: [0, 0, 5, 1],
-            gemm_macs: [0, 0, 5000, 400],
+            gemm_calls: [0, 5, 1],
+            gemm_macs: [0, 5000, 400],
             epsilon_values: 192,
             scratch_high_water: 777,
         };
         let delta = after.delta_since(&before);
-        assert_eq!(delta.gemm_calls, [0, 0, 2, 1]);
-        assert_eq!(delta.gemm_macs, [0, 0, 2000, 400]);
+        assert_eq!(delta.gemm_calls, [0, 2, 1]);
+        assert_eq!(delta.gemm_macs, [0, 2000, 400]);
         assert_eq!(delta.epsilon_values, 64);
         assert_eq!(delta.scratch_high_water, 777);
         assert_eq!(delta.total_gemm_calls(), 3);

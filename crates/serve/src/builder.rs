@@ -75,10 +75,9 @@ impl EngineSpec {
         self
     }
 
-    /// Forces a GEMM kernel tier for every Monte-Carlo replica (default: the process tier,
-    /// [`KernelTier::default`]). Bit-exact tiers cannot change any response;
-    /// [`KernelTier::FastMath`] can, and is never a default. [`ServeMode::Moment`] replicas
-    /// ignore it: their mean/variance passes run the untiered GEMM.
+    /// Forces a GEMM kernel tier for every replica, Monte-Carlo and [`ServeMode::Moment`]
+    /// alike (default: the process tier, [`KernelTier::default`]). Bit-exact tiers cannot
+    /// change any response; [`KernelTier::FastMath`] can, and is never a default.
     pub fn kernel_tier(mut self, tier: KernelTier) -> EngineSpec {
         self.kernel.tier = tier;
         self
@@ -126,13 +125,13 @@ mod tests {
             .mode(ServeMode::Moment)
             .policy(BatchPolicy { max_batch: 8, max_wait_ticks: 32 })
             .workers(4)
-            .kernel_tier(KernelTier::Blocked)
+            .kernel_tier(KernelTier::Reference)
             .gemm_workers(3)
             .fused_sampling(false);
         assert_eq!(spec.mode, ServeMode::Moment);
         assert_eq!(spec.policy, BatchPolicy { max_batch: 8, max_wait_ticks: 32 });
         assert_eq!(spec.workers, 4);
-        assert_eq!(spec.kernel.tier, KernelTier::Blocked);
+        assert_eq!(spec.kernel.tier, KernelTier::Reference);
         assert_eq!(spec.kernel.gemm_workers, 3);
         assert!(!spec.fused_sampling);
     }

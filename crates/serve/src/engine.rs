@@ -520,7 +520,11 @@ impl ServeReplica {
                 network.set_kernel(kernel);
                 ReplicaBackend::MonteCarlo { network, sources: Vec::new(), moment: None }
             }
-            ServeMode::Moment => ReplicaBackend::Moment { network: source.build_moment() },
+            ServeMode::Moment => {
+                let mut network = source.build_moment();
+                network.set_kernel(kernel);
+                ReplicaBackend::Moment { network }
+            }
         };
         ServeReplica {
             backend,

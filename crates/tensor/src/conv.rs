@@ -249,7 +249,7 @@ pub mod reference {
     }
 }
 
-/// Forward convolution via im2col packing and the cache-blocked GEMM of [`crate::kernels`] —
+/// Forward convolution via im2col packing and the tiered GEMM of [`crate::kernels`] —
 /// bit-identical to [`reference::conv2d_forward`] (pinned by `tests/kernel_equivalence.rs`).
 ///
 /// * `input` — `[N, H, W]`

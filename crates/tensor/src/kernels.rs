@@ -1,10 +1,13 @@
-//! The numeric hot-path kernels: cache-blocked GEMM and im2col convolution drivers.
+//! The numeric hot-path kernels: one tiered GEMM entry point and the im2col convolution
+//! drivers built on it.
 //!
-//! Everything in this module is **bit-exact by construction** against the straightforward
-//! loops it replaces (retained in [`crate::conv::reference`] and pinned by
-//! `tests/kernel_equivalence.rs`). The invariant that makes this possible: every output scalar
-//! accumulates *exactly one* running sum whose terms are added in the same order as the
-//! reference loops —
+//! Every matrix product in the workspace — convolutions, Bayesian linear layers forward and
+//! backward, the fused-sampling forward, the moment backend's mean/variance passes and
+//! [`Tensor::matmul`] — runs through [`gemm_accumulate_tiered`]. Everything in this module is
+//! **bit-exact by construction** against the straightforward loops it replaces (retained in
+//! [`crate::conv::reference`] and pinned by `tests/kernel_equivalence.rs`). The invariant that
+//! makes this possible: every output scalar accumulates *exactly one* running sum whose terms
+//! are added in the same order as the reference loops —
 //!
 //! * convolution forward: bias first, then products ordered by `(ic, ky, kx)`;
 //! * weight gradient: products ordered by output pixel `(oy, ox)`;
@@ -25,25 +28,27 @@
 //!
 //! # Kernel tiers
 //!
-//! Since PR 8 the GEMM entry point is tiered behind [`KernelTier`]:
+//! [`gemm_accumulate_tiered`] dispatches on [`KernelTier`]:
 //!
 //! * [`KernelTier::Reference`] — the naive triple loop, retained as the bit-exactness oracle;
-//! * [`KernelTier::Blocked`] — PR 4's cache-blocked scalar kernel (the former default);
-//! * [`KernelTier::Simd`] — a register-tile microkernel built from fixed-size `f32` lane
-//!   arrays (`MR×NR` accumulators initialized *from C*, stored back once after the k-loop) so
-//!   LLVM autovectorizes the inner loops reliably. Because every output scalar still owns
-//!   exactly one running sum whose k-terms are added in ascending order, `Simd` is
-//!   `to_bits()`-identical to `Reference` — the tile only removes the per-k C memory traffic
-//!   the blocked kernel pays. This is the default tier.
-//! * [`KernelTier::FastMath`] — an explicitly-labeled tier that splits the k-accumulation
-//!   into even/odd partial sums (combined once at the end). Reordering the additions breaks
-//!   bit-exactness, so this tier is **never** a default anywhere and is pinned by ULP/forward
-//!   -error-bounded tests instead (see `tests/kernel_tiers.rs` for the documented bound).
+//! * [`KernelTier::Simd`] — the default. Full-width column strips run a register-tile
+//!   microkernel built from fixed-size `f32` lane arrays (`MR×NR` accumulators initialized
+//!   *from C*, stored back once after the k-loop) so LLVM autovectorizes the inner loops
+//!   reliably. Two skinny shapes get their own form, chosen by shape alone: a column strip
+//!   narrower than `NR` (every `n = 1` GEMV) keeps each scalar's running sum in a register
+//!   in the reference form, and an `m = 1` product streams rank-1 row updates over the one
+//!   C row. Because every output scalar still owns exactly one running sum whose k-terms are
+//!   added in ascending order, every form is `to_bits()`-identical to `Reference`.
+//! * [`KernelTier::FastMath`] — an explicitly-labeled tier that contracts each term into an
+//!   FMA (or, without FMA hardware, splits the k-accumulation into even/odd partial sums).
+//!   Changing the rounding breaks bit-exactness, so this tier is **never** a default anywhere
+//!   and is pinned by forward-error-bounded tests instead (see `tests/kernel_tiers.rs` for
+//!   the documented bound).
 //!
 //! [`gemm_accumulate_tiered`] additionally splits the M dimension of large products across
 //! the [`bnn_pool`] work-stealing workers when [`KernelConfig::gemm_workers`] > 1. The
 //! partition is deterministic *and* irrelevant to the numbers: every output row is computed
-//! by the same serial kernel with the same per-scalar addition order no matter which chunk it
+//! by a serial kernel with the same per-scalar addition order no matter which chunk it
 //! lands in, so 1-vs-N-thread results are byte-identical (the property `tests/kernel_tiers.rs`
 //! pins). The parallel path is opt-in precisely because it spawns scoped threads and
 //! allocates queue state — the zero-allocation steady-state contract holds for the default
@@ -52,8 +57,8 @@
 //! The active [`KernelConfig`] travels inside [`Scratch`] — every kernel driver and layer
 //! already threads a scratch arena, so the tier selection needs no signature changes. The
 //! process-wide default tier can be forced with the `SHIFT_BNN_KERNEL_TIER` environment
-//! variable (`reference`, `blocked`, `simd`, `fastmath`), which is how CI's per-tier matrix
-//! legs keep every tier building and passing.
+//! variable (`reference`, `simd`, `fastmath`), which is how CI's per-tier matrix legs keep
+//! every tier building and passing.
 
 use crate::conv::{expect_shape, ConvGeometry};
 use crate::scratch::Scratch;
@@ -67,28 +72,24 @@ use std::sync::{Mutex, OnceLock};
 pub enum KernelTier {
     /// Naive triple loop — the bit-exactness oracle.
     Reference,
-    /// PR 4's cache-blocked scalar kernel.
-    Blocked,
     /// Register-tile microkernel (bit-exact, autovectorized). The default.
     Simd,
-    /// Even/odd k-split partial sums — fast but only ULP-close, never a default.
+    /// FMA-contracted (or even/odd k-split) sums — fast but only ULP-close, never a default.
     FastMath,
 }
 
 impl KernelTier {
     /// Every tier, in oracle-first order (handy for equivalence sweeps).
-    pub const ALL: [KernelTier; 4] =
-        [KernelTier::Reference, KernelTier::Blocked, KernelTier::Simd, KernelTier::FastMath];
+    pub const ALL: [KernelTier; 3] =
+        [KernelTier::Reference, KernelTier::Simd, KernelTier::FastMath];
 
     /// The tiers that are bit-identical to [`KernelTier::Reference`].
-    pub const BIT_EXACT: [KernelTier; 3] =
-        [KernelTier::Reference, KernelTier::Blocked, KernelTier::Simd];
+    pub const BIT_EXACT: [KernelTier; 2] = [KernelTier::Reference, KernelTier::Simd];
 
     /// Stable lowercase label (also the `SHIFT_BNN_KERNEL_TIER` spelling).
     pub fn label(self) -> &'static str {
         match self {
             KernelTier::Reference => "reference",
-            KernelTier::Blocked => "blocked",
             KernelTier::Simd => "simd",
             KernelTier::FastMath => "fastmath",
         }
@@ -155,70 +156,6 @@ impl KernelConfig {
     }
 }
 
-/// Column-block width of the blocked GEMM: 256 × 4 bytes = one 1 KiB stripe of `B` per row,
-/// so an entire `k × NB` panel of `B` stays cache-resident while the `A` rows stream over it.
-const NB: usize = 256;
-
-/// C\[m,n\] += A\[m,k\] · B\[k,n\], row-major, accumulating into whatever `c` already holds
-/// (zeros or a bias pre-fill). Per output scalar the `k` terms are added in ascending order
-/// into a single accumulator, which is what keeps the result bit-identical to a naive
-/// `for k { acc += a*b }` loop; blocking only reorders *which scalars* are worked on, never
-/// the order of additions within one scalar.
-///
-/// # Panics
-///
-/// Debug-asserts that the slices match the given dimensions.
-pub fn gemm_accumulate(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(c.len(), m * n);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    let mut j0 = 0;
-    while j0 < n {
-        let nb = NB.min(n - j0);
-        // 4-row register tile: four A scalars per loaded B stripe quadruple the arithmetic
-        // intensity of the inner loop without touching any scalar's addition order.
-        let mut i = 0;
-        while i + 4 <= m {
-            let (a0, a1, a2, a3) = (
-                &a[i * k..(i + 1) * k],
-                &a[(i + 1) * k..(i + 2) * k],
-                &a[(i + 2) * k..(i + 3) * k],
-                &a[(i + 3) * k..(i + 4) * k],
-            );
-            let (row0, rest) = c[i * n..(i + 4) * n].split_at_mut(n);
-            let (row1, rest) = rest.split_at_mut(n);
-            let (row2, row3) = rest.split_at_mut(n);
-            let t0 = &mut row0[j0..j0 + nb];
-            let t1 = &mut row1[j0..j0 + nb];
-            let t2 = &mut row2[j0..j0 + nb];
-            let t3 = &mut row3[j0..j0 + nb];
-            for p in 0..k {
-                let (v0, v1, v2, v3) = (a0[p], a1[p], a2[p], a3[p]);
-                let brow = &b[p * n + j0..p * n + j0 + nb];
-                for (j, &bv) in brow.iter().enumerate() {
-                    t0[j] += v0 * bv;
-                    t1[j] += v1 * bv;
-                    t2[j] += v2 * bv;
-                    t3[j] += v3 * bv;
-                }
-            }
-            i += 4;
-        }
-        while i < m {
-            let arow = &a[i * k..(i + 1) * k];
-            for (p, &av) in arow.iter().enumerate() {
-                let brow = &b[p * n + j0..p * n + j0 + nb];
-                let crow = &mut c[i * n + j0..i * n + j0 + nb];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += av * bv;
-                }
-            }
-            i += 1;
-        }
-        j0 += nb;
-    }
-}
-
 /// Row count of the SIMD microkernel's register tile.
 const MR: usize = 4;
 /// Column count of the SIMD microkernel's register tile: 16 f32 lanes = two 256-bit vectors
@@ -227,94 +164,120 @@ const MR: usize = 4;
 /// across scalars.
 const NR: usize = 16;
 
-/// C\[m,n\] += A·B as one naive triple loop — the bit-exactness oracle every other tier is
-/// measured against. Per output scalar: one accumulator seeded from `c`, k-ascending terms.
-pub fn gemm_reference(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(c.len(), m * n);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
+/// C\[m, j0..n\] += A·B\[.., j0..n\] as one naive triple loop: per output scalar, one
+/// register accumulator seeded from `c`, k-ascending terms. With `j0 = 0` this is the
+/// [`KernelTier::Reference`] oracle every other tier is measured against; the tiled tiers run
+/// it on the column strip narrower than [`NR`] left over after their full-width tiles (for an
+/// `n = 1` GEMV, that is the whole product — a plain dot loop per row).
+#[inline(always)]
+fn reference_cols(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize, j0: usize) {
     for i in 0..m {
-        for j in 0..n {
+        let arow = &a[i * k..(i + 1) * k];
+        for j in j0..n {
             let mut acc = c[i * n + j];
-            for p in 0..k {
-                acc += a[i * k + p] * b[p * n + j];
+            for (p, &av) in arow.iter().enumerate() {
+                acc += av * b[p * n + j];
             }
             c[i * n + j] = acc;
         }
     }
 }
 
-/// One `ROWS × NR` register tile of the SIMD kernel: accumulators are **loaded from C**, the
-/// k-loop adds terms in ascending order, and the tile is stored back once — so every scalar's
-/// addition order is exactly the reference order, while C traffic drops from `2·k` accesses
-/// per scalar (the blocked kernel's `t[j] +=` form) to one load and one store. The fixed-size
-/// `[f32; NR]` rows are what lets LLVM keep the tile in vector registers.
+/// C\[1, n\] += A\[1, k\]·B\[k, n\] as `k` rank-1 row updates: each step streams one
+/// contiguous B row into the single C row, so the inner loop is a unit-stride vectorizable
+/// walk and C stays cache-resident. Every scalar still adds its terms k-ascending into C, the
+/// reference order.
 #[inline(always)]
-fn simd_tile<const ROWS: usize>(
-    c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    i0: usize,
-    j0: usize,
-) {
-    let mut acc = [[0.0f32; NR]; ROWS];
-    for (r, row) in acc.iter_mut().enumerate() {
-        let src: &[f32; NR] = c[(i0 + r) * n + j0..][..NR].try_into().unwrap();
-        *row = *src;
-    }
-    for p in 0..k {
-        let brow: &[f32; NR] = b[p * n + j0..][..NR].try_into().unwrap();
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = a[(i0 + r) * k + p];
-            for (lane, &bv) in row.iter_mut().zip(brow) {
-                *lane += av * bv;
-            }
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        c[(i0 + r) * n + j0..][..NR].copy_from_slice(row);
-    }
-}
-
-/// Scalar fallback for a column strip narrower than [`NR`]; per-scalar order is still the
-/// reference k-ascending order, so the strip is bit-identical no matter which tier ran the
-/// full-width tiles next to it.
-fn gemm_scalar_strip(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize, j0: usize) {
-    let nb = n - j0;
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n + j0..i * n + j0 + nb];
-        for (p, &av) in arow.iter().enumerate() {
-            let brow = &b[p * n + j0..p * n + j0 + nb];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv += av * bv;
-            }
+fn row_updates(c: &mut [f32], a: &[f32], b: &[f32], n: usize) {
+    for (p, &av) in a.iter().enumerate() {
+        for (cv, &bv) in c.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+            *cv += av * bv;
         }
     }
 }
 
-/// Tile sweep shared by both [`gemm_simd`] entry paths. `#[inline(always)]` so that the
-/// AVX2 wrapper recompiles the whole sweep — tiles included — under its wider target
-/// features instead of calling back into baseline code.
+/// One `ROWS × NR` register-tile microkernel, run by [`sweep`] over every full-width tile.
+trait Tile {
+    /// C\[i0..i0+ROWS, j0..j0+NR\] += A\[i0..i0+ROWS, ..\]·B\[.., j0..j0+NR\].
+    fn tile<const ROWS: usize>(
+        c: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+        i0: usize,
+        j0: usize,
+    );
+}
+
+/// Tile sweep shared by the tiled tiers: `MR`-row tiles, remainder rows through the same
+/// tile at `ROWS = 1`, and the column strip narrower than `NR` through [`reference_cols`].
+/// `#[inline(always)]` so that each `target_feature` wrapper recompiles the whole sweep —
+/// tiles included — under its wider target features instead of calling back into baseline
+/// code.
 #[inline(always)]
-fn gemm_simd_body(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+fn sweep<T: Tile>(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     let mut j0 = 0;
     while j0 + NR <= n {
         let mut i = 0;
         while i + MR <= m {
-            simd_tile::<MR>(c, a, b, k, n, i, j0);
+            T::tile::<MR>(c, a, b, k, n, i, j0);
             i += MR;
         }
         while i < m {
-            simd_tile::<1>(c, a, b, k, n, i, j0);
+            T::tile::<1>(c, a, b, k, n, i, j0);
             i += 1;
         }
         j0 += NR;
     }
-    if j0 < n {
-        gemm_scalar_strip(c, a, b, m, k, n, j0);
+    reference_cols(c, a, b, m, k, n, j0);
+}
+
+/// The [`KernelTier::Simd`] tile: accumulators are **loaded from C**, the k-loop adds terms
+/// in ascending order, and the tile is stored back once — so every scalar's addition order
+/// is exactly the reference order with one C load and one store per scalar. The fixed-size
+/// `[f32; NR]` rows are what lets LLVM keep the tile in vector registers.
+struct SimdTile;
+
+impl Tile for SimdTile {
+    #[inline(always)]
+    fn tile<const ROWS: usize>(
+        c: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+        i0: usize,
+        j0: usize,
+    ) {
+        let mut acc = [[0.0f32; NR]; ROWS];
+        for (r, row) in acc.iter_mut().enumerate() {
+            let src: &[f32; NR] = c[(i0 + r) * n + j0..][..NR].try_into().unwrap();
+            *row = *src;
+        }
+        for p in 0..k {
+            let brow: &[f32; NR] = b[p * n + j0..][..NR].try_into().unwrap();
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = a[(i0 + r) * k + p];
+                for (lane, &bv) in row.iter_mut().zip(brow) {
+                    *lane += av * bv;
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            c[(i0 + r) * n + j0..][..NR].copy_from_slice(row);
+        }
+    }
+}
+
+/// The Simd kernel body, forms chosen by shape: an `m = 1` product as [`row_updates`], every
+/// other shape as the [`SimdTile`] sweep.
+#[inline(always)]
+fn gemm_simd_body(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    if m == 1 {
+        row_updates(c, a, b, n);
+    } else {
+        sweep::<SimdTile>(c, a, b, m, k, n);
     }
 }
 
@@ -324,6 +287,10 @@ fn gemm_simd_body(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: us
 /// every bit as exact as the portable one — width changes *which registers* hold a scalar's
 /// running sum, never the order of its additions. (No FMA: contraction would change
 /// rounding, and this tier promises bit-exactness.)
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gemm_simd_avx2(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
@@ -346,15 +313,9 @@ fn fma_available() -> bool {
     })
 }
 
-/// The [`KernelTier::Simd`] GEMM: full-width columns go through the register tile
-/// (`simd_tile`), remainder rows through the same tile at `ROWS = 1`, remainder columns
-/// through the scalar strip. All paths add every scalar's k-terms in ascending order into
-/// one accumulator, so the result is `to_bits()`-identical to [`gemm_reference`] — on the
-/// AVX2 fast path exactly as on the portable one (see `gemm_simd_avx2`).
-pub fn gemm_simd(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(c.len(), m * n);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
+/// The [`KernelTier::Simd`] GEMM: `to_bits()`-identical to [`reference_cols`] in every shape
+/// form — on the AVX2 fast path exactly as on the portable one (see `gemm_simd_avx2`).
+fn gemm_simd(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: guarded by runtime AVX2 detection.
@@ -363,152 +324,126 @@ pub fn gemm_simd(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usi
     gemm_simd_body(c, a, b, m, k, n);
 }
 
-/// One `ROWS × NR` tile of the FastMath kernel: the k-loop is split into even/odd partial
-/// sums (`acc0` seeded from C, `acc1` from zero) that are combined once at the end. The
-/// two independent addition chains double the throughput ceiling per scalar but **reorder
-/// the sum** — this tile is deliberately not bit-exact.
-#[inline(always)]
-fn fastmath_tile<const ROWS: usize>(
-    c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    i0: usize,
-    j0: usize,
-) {
-    let mut acc0 = [[0.0f32; NR]; ROWS];
-    let mut acc1 = [[0.0f32; NR]; ROWS];
-    for (r, row) in acc0.iter_mut().enumerate() {
-        let src: &[f32; NR] = c[(i0 + r) * n + j0..][..NR].try_into().unwrap();
-        *row = *src;
-    }
-    let mut p = 0;
-    while p + 2 <= k {
-        let brow0: &[f32; NR] = b[p * n + j0..][..NR].try_into().unwrap();
-        let brow1: &[f32; NR] = b[(p + 1) * n + j0..][..NR].try_into().unwrap();
-        for r in 0..ROWS {
-            let av0 = a[(i0 + r) * k + p];
-            let av1 = a[(i0 + r) * k + p + 1];
-            for j in 0..NR {
-                acc0[r][j] += av0 * brow0[j];
-                acc1[r][j] += av1 * brow1[j];
-            }
-        }
-        p += 2;
-    }
-    if p < k {
-        let brow: &[f32; NR] = b[p * n + j0..][..NR].try_into().unwrap();
+/// The portable FastMath tile: the k-loop is split into even/odd partial sums (`acc0` seeded
+/// from C, `acc1` from zero) that are combined once at the end. The two independent addition
+/// chains double the throughput ceiling per scalar but **reorder the sum** — this tile is
+/// deliberately not bit-exact.
+struct SplitTile;
+
+impl Tile for SplitTile {
+    #[inline(always)]
+    fn tile<const ROWS: usize>(
+        c: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+        i0: usize,
+        j0: usize,
+    ) {
+        let mut acc0 = [[0.0f32; NR]; ROWS];
+        let mut acc1 = [[0.0f32; NR]; ROWS];
         for (r, row) in acc0.iter_mut().enumerate() {
-            let av = a[(i0 + r) * k + p];
-            for (lane, &bv) in row.iter_mut().zip(brow) {
-                *lane += av * bv;
+            let src: &[f32; NR] = c[(i0 + r) * n + j0..][..NR].try_into().unwrap();
+            *row = *src;
+        }
+        let mut p = 0;
+        while p + 2 <= k {
+            let brow0: &[f32; NR] = b[p * n + j0..][..NR].try_into().unwrap();
+            let brow1: &[f32; NR] = b[(p + 1) * n + j0..][..NR].try_into().unwrap();
+            for r in 0..ROWS {
+                let av0 = a[(i0 + r) * k + p];
+                let av1 = a[(i0 + r) * k + p + 1];
+                for j in 0..NR {
+                    acc0[r][j] += av0 * brow0[j];
+                    acc1[r][j] += av1 * brow1[j];
+                }
+            }
+            p += 2;
+        }
+        if p < k {
+            let brow: &[f32; NR] = b[p * n + j0..][..NR].try_into().unwrap();
+            for (r, row) in acc0.iter_mut().enumerate() {
+                let av = a[(i0 + r) * k + p];
+                for (lane, &bv) in row.iter_mut().zip(brow) {
+                    *lane += av * bv;
+                }
             }
         }
-    }
-    for r in 0..ROWS {
-        for j in 0..NR {
-            c[(i0 + r) * n + j0 + j] = acc0[r][j] + acc1[r][j];
+        for r in 0..ROWS {
+            for j in 0..NR {
+                c[(i0 + r) * n + j0 + j] = acc0[r][j] + acc1[r][j];
+            }
         }
     }
 }
 
-/// One `ROWS × NR` tile of the FastMath FMA path: like [`simd_tile`] but each term lands via
-/// `f32::mul_add`, i.e. a single-rounded hardware FMA. One fewer rounding per term changes
-/// the bits (that is why this lives in the FastMath tier), and doubles the arithmetic
-/// throughput per instruction on FMA hardware.
-#[inline(always)]
+/// The FastMath FMA tile: like [`SimdTile`] but each term lands via `f32::mul_add`, i.e. a
+/// single-rounded hardware FMA. One fewer rounding per term changes the bits (that is why
+/// this lives in the FastMath tier), and doubles the arithmetic throughput per instruction on
+/// FMA hardware.
 #[cfg(target_arch = "x86_64")]
-fn fastmath_fma_tile<const ROWS: usize>(
-    c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    i0: usize,
-    j0: usize,
-) {
-    let mut acc = [[0.0f32; NR]; ROWS];
-    for (r, row) in acc.iter_mut().enumerate() {
-        let src: &[f32; NR] = c[(i0 + r) * n + j0..][..NR].try_into().unwrap();
-        *row = *src;
-    }
-    for p in 0..k {
-        let brow: &[f32; NR] = b[p * n + j0..][..NR].try_into().unwrap();
+struct FmaTile;
+
+#[cfg(target_arch = "x86_64")]
+impl Tile for FmaTile {
+    #[inline(always)]
+    fn tile<const ROWS: usize>(
+        c: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+        i0: usize,
+        j0: usize,
+    ) {
+        let mut acc = [[0.0f32; NR]; ROWS];
         for (r, row) in acc.iter_mut().enumerate() {
-            let av = a[(i0 + r) * k + p];
-            for (lane, &bv) in row.iter_mut().zip(brow) {
-                *lane = av.mul_add(bv, *lane);
+            let src: &[f32; NR] = c[(i0 + r) * n + j0..][..NR].try_into().unwrap();
+            *row = *src;
+        }
+        for p in 0..k {
+            let brow: &[f32; NR] = b[p * n + j0..][..NR].try_into().unwrap();
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = a[(i0 + r) * k + p];
+                for (lane, &bv) in row.iter_mut().zip(brow) {
+                    *lane = av.mul_add(bv, *lane);
+                }
             }
         }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        c[(i0 + r) * n + j0..][..NR].copy_from_slice(row);
+        for (r, row) in acc.iter().enumerate() {
+            c[(i0 + r) * n + j0..][..NR].copy_from_slice(row);
+        }
     }
 }
 
 /// The FastMath sweep over FMA tiles, compiled with AVX2+FMA enabled so `mul_add` lowers to
 /// `vfmadd` instead of a libm call.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn gemm_fastmath_fma(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    let mut j0 = 0;
-    while j0 + NR <= n {
-        let mut i = 0;
-        while i + MR <= m {
-            fastmath_fma_tile::<MR>(c, a, b, k, n, i, j0);
-            i += MR;
-        }
-        while i < m {
-            fastmath_fma_tile::<1>(c, a, b, k, n, i, j0);
-            i += 1;
-        }
-        j0 += NR;
-    }
-    if j0 < n {
-        gemm_scalar_strip(c, a, b, m, k, n, j0);
-    }
-}
-
-/// The portable FastMath sweep: even/odd k-split tiles ([`fastmath_tile`]).
-#[inline(always)]
-fn gemm_fastmath_body(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    let mut j0 = 0;
-    while j0 + NR <= n {
-        let mut i = 0;
-        while i + MR <= m {
-            fastmath_tile::<MR>(c, a, b, k, n, i, j0);
-            i += MR;
-        }
-        while i < m {
-            fastmath_tile::<1>(c, a, b, k, n, i, j0);
-            i += 1;
-        }
-        j0 += NR;
-    }
-    if j0 < n {
-        gemm_scalar_strip(c, a, b, m, k, n, j0);
-    }
+    sweep::<FmaTile>(c, a, b, m, k, n);
 }
 
 /// The [`KernelTier::FastMath`] GEMM. **Not bit-exact**: on FMA hardware every term is
 /// contracted into a single-rounded `mul_add`, and the portable fallback reassociates each
-/// scalar's sum into even/odd partial chains (see `fastmath_tile`). Either way the result
-/// only promises closeness to [`gemm_reference`] within the standard forward-error bound
+/// scalar's sum into even/odd partial chains (see [`SplitTile`]). Either way the result
+/// only promises closeness to [`reference_cols`] within the standard forward-error bound
 /// `2·γ_{k+1}·(|c₀| + Σ|aᵢbᵢ|)` (`γ_k = k·ε/(1−k·ε)`, ε = f32 machine epsilon) asserted by
-/// `tests/kernel_tiers.rs`. Remainder rows reuse the tiles at `ROWS = 1` and narrow column
-/// strips fall back to the (exact) scalar strip, so the 1-vs-N-thread M-split identity still
+/// `tests/kernel_tiers.rs`. The form is the same [`sweep`] for every row count, and narrow
+/// column strips run the (exact) reference loop, so the 1-vs-N-thread M-split identity still
 /// holds for this tier on any given machine.
-pub fn gemm_fastmath(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(c.len(), m * n);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
+fn gemm_fastmath(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
         // SAFETY: guarded by runtime AVX2+FMA detection.
         return unsafe { gemm_fastmath_fma(c, a, b, m, k, n) };
     }
-    gemm_fastmath_body(c, a, b, m, k, n);
+    sweep::<SplitTile>(c, a, b, m, k, n);
 }
 
 /// Serial tier dispatch — the function every M-split chunk runs.
@@ -522,8 +457,7 @@ fn gemm_serial(
     n: usize,
 ) {
     match tier {
-        KernelTier::Reference => gemm_reference(c, a, b, m, k, n),
-        KernelTier::Blocked => gemm_accumulate(c, a, b, m, k, n),
+        KernelTier::Reference => reference_cols(c, a, b, m, k, n, 0),
         KernelTier::Simd => gemm_simd(c, a, b, m, k, n),
         KernelTier::FastMath => gemm_fastmath(c, a, b, m, k, n),
     }
@@ -533,15 +467,17 @@ fn gemm_serial(
 /// saves; such products always run inline regardless of the worker budget.
 const PARALLEL_MIN_MACS: usize = 64 * 1024;
 
-/// The tiered GEMM entry point: dispatches `C += A·B` to the configured [`KernelTier`] and,
-/// when `cfg.gemm_workers > 1` and the product is large enough, splits the M dimension into
-/// contiguous row chunks across the [`bnn_pool`] workers.
+/// The GEMM entry point, and the only one: C\[m,n\] += A\[m,k\] · B\[k,n\], row-major,
+/// accumulating into whatever `c` already holds (zeros or a bias pre-fill). Dispatches to the
+/// configured [`KernelTier`] and, when `cfg.gemm_workers > 1` and the product is large
+/// enough, splits the M dimension into contiguous row chunks across the [`bnn_pool`]
+/// workers. Every call records its `m·k·n` MAC volume in [`crate::profile`].
 ///
 /// The split is byte-identical to the serial run for every tier and every worker count:
-/// chunks are disjoint row ranges, each chunk runs the identical serial kernel, and no tier's
-/// per-scalar result depends on which rows share its chunk (row tiling chooses *which* tile
-/// path computes a scalar, but all paths add that scalar's terms in the same order — even
-/// FastMath's split is a pure function of `k`, not of the chunk shape).
+/// chunks are disjoint row ranges, each chunk runs a serial kernel, and no tier's per-scalar
+/// result depends on which rows share its chunk (the Simd tier chooses *which* form computes
+/// a scalar by the chunk's shape, but all its forms add that scalar's terms in the same
+/// order; FastMath's form does not depend on the row count at all).
 pub fn gemm_accumulate_tiered(
     cfg: KernelConfig,
     c: &mut [f32],
@@ -580,85 +516,6 @@ pub fn gemm_accumulate_tiered(
         let rows = chunk.len() / n;
         gemm_serial(cfg.tier, chunk, &a[*lo * k..(*lo + rows) * k], b, rows, k, n);
     });
-}
-
-/// The fused-sampling linear kernel: `S` per-sample matrix-vector products in one pass.
-///
-/// * `x` is the stacked activation panel `[S, in]` (sample-major, row `s` = sample `s`'s
-///   input);
-/// * `wt` is the packed **transposed** weight panel `[in, S·out]` with
-///   `wt[i·S·out + s·out + o] = w_s[o, i]` — per-sample sampled weights materialized
-///   column-blocked by sample (the ε panel of the fused forward pass);
-/// * `c` is the stacked output `[S, out]`, accumulated in place.
-///
-/// The i-outer rank-1-update form makes the inner loop a contiguous, vectorizable walk over
-/// `out` — unlike the per-sample dot-product loop, whose single running sum is an addition
-/// chain no vectorizer may touch. Per output scalar `(s, o)` the terms are still added
-/// i-ascending into one accumulator (`c[s·out+o] += x[s,i]·w_s[o,i]`, `i = 0, 1, …`), which
-/// is exactly the dot-product loop's order — so fused and per-sample forwards are
-/// `to_bits()`-identical.
-pub fn fused_linear_accumulate(
-    c: &mut [f32],
-    x: &[f32],
-    wt: &[f32],
-    samples: usize,
-    in_features: usize,
-    out_features: usize,
-) {
-    debug_assert_eq!(c.len(), samples * out_features);
-    debug_assert_eq!(x.len(), samples * in_features);
-    debug_assert_eq!(wt.len(), in_features * samples * out_features);
-    let width = samples * out_features;
-    for i in 0..in_features {
-        let wrow = &wt[i * width..(i + 1) * width];
-        for s in 0..samples {
-            let xv = x[s * in_features + i];
-            let crow = &mut c[s * out_features..(s + 1) * out_features];
-            let wseg = &wrow[s * out_features..(s + 1) * out_features];
-            for (cv, &wv) in crow.iter_mut().zip(wseg) {
-                *cv += xv * wv;
-            }
-        }
-    }
-}
-
-/// C\[m,n\] += Aᵀ · B where `a` is `[k, m]` and `b` is `[k, n]`, both row-major. Terms are
-/// accumulated `p`-ascending per scalar (the `p`-outer rank-1-update form), matching
-/// `a.transpose2().matmul(b)` bit for bit without materializing the transpose.
-pub fn gemm_at_accumulate(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(c.len(), m * n);
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    for p in 0..k {
-        let arow = &a[p * m..(p + 1) * m];
-        let brow = &b[p * n..(p + 1) * n];
-        for (i, &av) in arow.iter().enumerate() {
-            let crow = &mut c[i * n..(i + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv += av * bv;
-            }
-        }
-    }
-}
-
-/// C\[m,n\] += A · Bᵀ where `a` is `[m, k]` and `b` is `[n, k]`, both row-major: every output
-/// scalar is a dot product of two contiguous rows, accumulated `p`-ascending in one scalar
-/// accumulator (no multi-lane unrolling — splitting the accumulator would reorder the sum).
-pub fn gemm_bt_accumulate(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(c.len(), m * n);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = c[i * n + j];
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            c[i * n + j] = acc;
-        }
-    }
 }
 
 /// Packs `input` (`[N, H, W]`) into the im2col matrix `[N·K·K, OH·OW]`: row `(ic, ky, kx)`,
@@ -746,7 +603,7 @@ fn pack_im2row(
 }
 
 /// Forward convolution into a caller-provided output tensor (shape `[M, OH, OW]`, any prior
-/// contents overwritten), via im2col packing and the blocked GEMM. Bit-identical to
+/// contents overwritten), via im2col packing and the tiered GEMM. Bit-identical to
 /// [`crate::conv::reference::conv2d_forward`].
 ///
 /// # Errors
@@ -936,11 +793,19 @@ mod tests {
 
     #[test]
     fn gemm_matches_naive_bitwise() {
-        let (m, k, n) = (5, 7, 300); // n > NB exercises column blocking
+        let (m, k, n) = (5, 7, 300); // 300 = 18 full tiles plus a 12-wide narrow strip
         let a = tensor(&[m, k], |i| ((i as f32) * 0.17).sin());
         let b = tensor(&[k, n], |i| ((i as f32) * 0.09).cos());
         let mut c = vec![0.0f32; m * n];
-        gemm_accumulate(&mut c, a.data(), b.data(), m, k, n);
+        gemm_accumulate_tiered(
+            KernelConfig::with_tier(KernelTier::Simd),
+            &mut c,
+            a.data(),
+            b.data(),
+            m,
+            k,
+            n,
+        );
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;
@@ -949,32 +814,6 @@ mod tests {
                 }
                 assert_eq!(c[i * n + j].to_bits(), acc.to_bits(), "({i},{j})");
             }
-        }
-    }
-
-    #[test]
-    fn gemm_at_matches_transpose_then_matmul_bitwise() {
-        let (k, m, n) = (6, 4, 9);
-        let a = tensor(&[k, m], |i| (i as f32 * 0.31).sin());
-        let b = tensor(&[k, n], |i| (i as f32 * 0.23).cos());
-        let expect = a.transpose2().matmul(&b).unwrap();
-        let mut c = vec![0.0f32; m * n];
-        gemm_at_accumulate(&mut c, a.data(), b.data(), m, k, n);
-        for (got, want) in c.iter().zip(expect.data()) {
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
-    }
-
-    #[test]
-    fn gemm_bt_matches_matmul_of_transpose_bitwise() {
-        let (m, k, n) = (3, 11, 5);
-        let a = tensor(&[m, k], |i| (i as f32 * 0.13).sin());
-        let b = tensor(&[n, k], |i| (i as f32 * 0.29).cos());
-        let expect = a.matmul(&b.transpose2()).unwrap();
-        let mut c = vec![0.0f32; m * n];
-        gemm_bt_accumulate(&mut c, a.data(), b.data(), m, k, n);
-        for (got, want) in c.iter().zip(expect.data()) {
-            assert_eq!(got.to_bits(), want.to_bits());
         }
     }
 

@@ -16,41 +16,32 @@ use std::cell::Cell;
 
 use crate::kernels::KernelTier;
 
-const TIERS: usize = 4;
+const TIERS: usize = KernelTier::ALL.len();
 
 thread_local! {
-    static GEMM_CALLS: [Cell<u64>; TIERS] = const { [Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0)] };
-    static GEMM_MACS: [Cell<u64>; TIERS] = const { [Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0)] };
+    static GEMM_CALLS: [Cell<u64>; TIERS] = const { [Cell::new(0), Cell::new(0), Cell::new(0)] };
+    static GEMM_MACS: [Cell<u64>; TIERS] = const { [Cell::new(0), Cell::new(0), Cell::new(0)] };
     static SCRATCH_OUTSTANDING: Cell<u64> = const { Cell::new(0) };
     static SCRATCH_HIGH_WATER: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The per-tier counter index, in [`KernelTier::ALL`] order.
-fn tier_index(tier: KernelTier) -> usize {
-    match tier {
-        KernelTier::Reference => 0,
-        KernelTier::Blocked => 1,
-        KernelTier::Simd => 2,
-        KernelTier::FastMath => 3,
-    }
 }
 
 /// Records one GEMM dispatch of `macs = m·k·n` multiply-accumulates under `tier`.
 #[inline]
 pub fn record_gemm(tier: KernelTier, macs: u64) {
-    let i = tier_index(tier);
+    // Declaration order is `KernelTier::ALL` order, so the discriminant is the index.
+    let i = tier as usize;
     GEMM_CALLS.with(|c| c[i].set(c[i].get() + 1));
     GEMM_MACS.with(|c| c[i].set(c[i].get() + macs));
 }
 
 /// This thread's cumulative GEMM call counts, per tier in [`KernelTier::ALL`] order.
 pub fn gemm_calls() -> [u64; TIERS] {
-    GEMM_CALLS.with(|c| [c[0].get(), c[1].get(), c[2].get(), c[3].get()])
+    GEMM_CALLS.with(|c| c.each_ref().map(Cell::get))
 }
 
 /// This thread's cumulative GEMM MAC volume, per tier in [`KernelTier::ALL`] order.
 pub fn gemm_macs() -> [u64; TIERS] {
-    GEMM_MACS.with(|c| [c[0].get(), c[1].get(), c[2].get(), c[3].get()])
+    GEMM_MACS.with(|c| c.each_ref().map(Cell::get))
 }
 
 /// Records `slots` `f32` slots leaving the scratch arena, raising the high-water mark.
@@ -99,8 +90,8 @@ mod tests {
         record_gemm(KernelTier::Reference, 10);
         let calls = gemm_calls();
         let macs = gemm_macs();
-        assert_eq!(calls[2] - before_calls[2], 2);
-        assert_eq!(macs[2] - before_macs[2], 1500);
+        assert_eq!(calls[1] - before_calls[1], 2);
+        assert_eq!(macs[1] - before_macs[1], 1500);
         assert_eq!(calls[0] - before_calls[0], 1);
         assert_eq!(macs[0] - before_macs[0], 10);
     }

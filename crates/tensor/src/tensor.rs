@@ -351,7 +351,8 @@ impl Tensor {
         best
     }
 
-    /// 2-D matrix multiplication: `self` is `[m, k]`, `other` is `[k, n]`, result is `[m, n]`.
+    /// 2-D matrix multiplication: `self` is `[m, k]`, `other` is `[k, n]`, result is `[m, n]`,
+    /// computed by the tiered GEMM under the process-default [`crate::KernelConfig`].
     ///
     /// # Errors
     ///
@@ -367,51 +368,8 @@ impl Tensor {
         let (m, k) = (self.shape[0], self.shape[1]);
         let n = other.shape[1];
         let mut out = vec![0.0f32; m * n];
-        crate::kernels::gemm_accumulate(&mut out, &self.data, &other.data, m, k, n);
-        Ok(Self { shape: vec![m, n], data: out })
-    }
-
-    /// Transposed-left matrix multiplication `selfᵀ · other`: `self` is `[k, m]`, `other` is
-    /// `[k, n]`, result is `[m, n]` — bit-identical to `self.transpose2().matmul(other)` but
-    /// without materializing the transposed copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidMatmul`] if either operand is not 2-D or the shared
-    /// dimension disagrees.
-    pub fn matmul_at(&self, other: &Self) -> Result<Self, TensorError> {
-        if self.shape.len() != 2 || other.shape.len() != 2 || self.shape[0] != other.shape[0] {
-            return Err(TensorError::InvalidMatmul {
-                left: self.shape.clone(),
-                right: other.shape.clone(),
-            });
-        }
-        let (k, m) = (self.shape[0], self.shape[1]);
-        let n = other.shape[1];
-        let mut out = vec![0.0f32; m * n];
-        crate::kernels::gemm_at_accumulate(&mut out, &self.data, &other.data, m, k, n);
-        Ok(Self { shape: vec![m, n], data: out })
-    }
-
-    /// Transposed-right matrix multiplication `self · otherᵀ`: `self` is `[m, k]`, `other` is
-    /// `[n, k]`, result is `[m, n]` — bit-identical to `self.matmul(&other.transpose2())` but
-    /// without materializing the transposed copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidMatmul`] if either operand is not 2-D or the shared
-    /// dimension disagrees.
-    pub fn matmul_bt(&self, other: &Self) -> Result<Self, TensorError> {
-        if self.shape.len() != 2 || other.shape.len() != 2 || self.shape[1] != other.shape[1] {
-            return Err(TensorError::InvalidMatmul {
-                left: self.shape.clone(),
-                right: other.shape.clone(),
-            });
-        }
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let n = other.shape[0];
-        let mut out = vec![0.0f32; m * n];
-        crate::kernels::gemm_bt_accumulate(&mut out, &self.data, &other.data, m, k, n);
+        let cfg = crate::kernels::KernelConfig::default();
+        crate::kernels::gemm_accumulate_tiered(cfg, &mut out, &self.data, &other.data, m, k, n);
         Ok(Self { shape: vec![m, n], data: out })
     }
 
@@ -547,30 +505,6 @@ mod tests {
         assert_eq!(c.shape(), &[2, 2]);
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
         assert!(a.matmul(&a).is_err());
-    }
-
-    #[test]
-    fn matmul_transposed_variants_match_materialized_transposes_bitwise() {
-        let a =
-            Tensor::from_vec(vec![3, 2], (0..6).map(|i| (i as f32 * 0.7).sin()).collect()).unwrap();
-        let b = Tensor::from_vec(vec![3, 4], (0..12).map(|i| (i as f32 * 0.3).cos()).collect())
-            .unwrap();
-        let at = a.matmul_at(&b).unwrap();
-        let expect = a.transpose2().matmul(&b).unwrap();
-        assert_eq!(at.shape(), &[2, 4]);
-        for (x, y) in at.data().iter().zip(expect.data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        let c = Tensor::from_vec(vec![5, 4], (0..20).map(|i| (i as f32 * 0.11).sin()).collect())
-            .unwrap();
-        let bt = b.matmul_bt(&c).unwrap();
-        let expect = b.matmul(&c.transpose2()).unwrap();
-        assert_eq!(bt.shape(), &[3, 5]);
-        for (x, y) in bt.data().iter().zip(expect.data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert!(a.matmul_at(&c).is_err());
-        assert!(a.matmul_bt(&b).is_err());
     }
 
     #[test]

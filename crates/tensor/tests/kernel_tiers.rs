@@ -1,20 +1,20 @@
-//! Tier contracts of the GEMM kernel subsystem (PR 8):
+//! Tier contracts of the GEMM kernel subsystem:
 //!
-//! * `Blocked` and `Simd` are `to_bits()`-identical to `Reference` across randomized GEMM
-//!   and convolution geometries — not approximately close, bit-identical;
+//! * `Simd` is `to_bits()`-identical to `Reference` across randomized GEMM and convolution
+//!   geometries, skinny `m = 1`, `k = 1` and `n = 1` products included — not approximately
+//!   close, bit-identical;
 //! * the M-split parallel path is byte-identical across worker counts (1 vs N) for **every**
 //!   tier, FastMath included — the row partition may not leak into the numbers;
 //! * `FastMath` is only ULP-close: its even/odd k-split reassociates each scalar's sum, and
 //!   the documented bound is the standard forward-error bound for two different summation
 //!   orders of the same dot product, `|fast − ref| ≤ 2·γ_k·Σ_p|a_p·b_p|` with
 //!   `γ_k = k·ε/(1−k·ε)` (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1);
-//! * the fused-sampling linear kernel matches the per-sample dot-product loop bit for bit.
+//! * the `m = 1` row form (fused linear forward) matches the `n = 1` column form
+//!   (per-sample linear forward) bit for bit.
 
 use bnn_tensor::conv::{reference, ConvGeometry};
 use bnn_tensor::init::splitmix_tensor as fill;
-use bnn_tensor::kernels::{
-    conv2d_forward_into, fused_linear_accumulate, gemm_accumulate_tiered, KernelConfig, KernelTier,
-};
+use bnn_tensor::kernels::{conv2d_forward_into, gemm_accumulate_tiered, KernelConfig, KernelTier};
 use bnn_tensor::{Scratch, Tensor};
 use proptest::prelude::*;
 
@@ -33,6 +33,19 @@ fn run_gemm(
     c
 }
 
+/// Pins one dimension of a drawn `(m, k, n)` to 1 — `pin` 0, 1, 2 select `m`, `k`, `n`;
+/// any other value keeps the shape — so every proptest below hits each skinny form the
+/// linear layers and the moment backend run (`m = 1` row products, `k = 1` outer products,
+/// `n = 1` GEMVs) explicitly rather than by chance.
+fn skinny(pin: usize, (m, k, n): (usize, usize, usize)) -> (usize, usize, usize) {
+    match pin {
+        0 => (1, k, n),
+        1 => (m, 1, n),
+        2 => (m, k, 1),
+        _ => (m, k, n),
+    }
+}
+
 fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(got.len(), want.len(), "{} length", what);
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -44,40 +57,46 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) -> Result<(), TestCaseE
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `Blocked` and `Simd` accumulate every output scalar's k-terms in the reference order,
-    /// so they are bit-identical to `Reference` for arbitrary shapes — including C seeded
-    /// with non-zero values (the bias-prefill pattern of the conv driver), column remainders
-    /// narrower than the SIMD tile, and row remainders shorter than the register tile.
+    /// `Simd` accumulates every output scalar's k-terms in the reference order, so it is
+    /// bit-identical to `Reference` for arbitrary shapes — including C seeded with non-zero
+    /// values (the bias-prefill pattern of the conv driver), column remainders narrower than
+    /// the SIMD tile, row remainders shorter than the register tile, the skinny forms, and
+    /// contractions as deep as a 784-input linear layer.
     #[test]
     fn bit_exact_tiers_match_reference_bitwise(
         m in 1usize..14,
-        k in 1usize..40,
+        k in 1usize..800,
         n in 1usize..300,
+        pin in 0usize..4,
         seed in 0u64..u64::MAX,
     ) {
+        let (m, k, n) = skinny(pin, (m, k, n));
         let a = fill(seed, &[m, k]);
         let b = fill(seed ^ 0xA5A5, &[k, n]);
         let c0 = fill(seed ^ 0x3C3C, &[m, n]);
         let want = run_gemm(
             KernelConfig::with_tier(KernelTier::Reference), c0.data(), a.data(), b.data(), m, k, n,
         );
-        for tier in [KernelTier::Blocked, KernelTier::Simd] {
-            let got =
-                run_gemm(KernelConfig::with_tier(tier), c0.data(), a.data(), b.data(), m, k, n);
-            assert_bits_eq(&got, &want, tier.label())?;
-        }
+        let got = run_gemm(
+            KernelConfig::with_tier(KernelTier::Simd), c0.data(), a.data(), b.data(), m, k, n,
+        );
+        assert_bits_eq(&got, &want, "simd")?;
     }
 
     /// The M-split parallel partition is byte-identical across worker counts for every tier.
-    /// Shapes are sized above the inline threshold so the split actually runs; each output
-    /// row is computed by the same serial kernel regardless of which chunk it lands in.
+    /// Shapes are sized above the inline threshold so the split actually runs — `n = 1`
+    /// GEMVs included, as deep as `m·k ≥ 64 Ki` — and each output row is computed by the
+    /// same per-scalar addition order regardless of which chunk it lands in.
     #[test]
     fn m_split_is_byte_identical_across_worker_counts(
         m in 32usize..64,
         k in 64usize..128,
         n in 64usize..160,
+        gemv in prop::bool::ANY,
         seed in 0u64..u64::MAX,
     ) {
+        // A GEMV keeps the MAC volume above the threshold by deepening m and k instead.
+        let (m, k, n) = if gemv { (8 * m, 4 * k, 1) } else { (m, k, n) };
         let a = fill(seed, &[m, k]);
         let b = fill(seed ^ 0x1111, &[k, n]);
         let c0 = fill(seed ^ 0x2222, &[m, n]);
@@ -138,10 +157,12 @@ proptest! {
     #[test]
     fn fastmath_stays_within_the_documented_forward_error_bound(
         m in 1usize..12,
-        k in 1usize..160,
+        k in 1usize..800,
         n in 1usize..80,
+        pin in 0usize..4,
         seed in 0u64..u64::MAX,
     ) {
+        let (m, k, n) = skinny(pin, (m, k, n));
         let a = fill(seed, &[m, k]);
         let b = fill(seed ^ 0x7777, &[k, n]);
         let c0 = fill(seed ^ 0x8888, &[m, n]);
@@ -171,44 +192,28 @@ proptest! {
         }
     }
 
-    /// The fused-sampling kernel's i-outer rank-1 updates add each output scalar's terms in
-    /// exactly the per-sample dot-product loop's order — bit-identical, per sample.
+    /// The two skinny Simd forms agree: the `m = 1` row product `xᵀ·Wᵀ` (the fused linear
+    /// forward) and the `n = 1` column product `W·x` (the per-sample forward) add every
+    /// output scalar's terms in the same ascending order, so they are bit-identical.
     #[test]
-    fn fused_linear_matches_per_sample_dot_loops_bitwise(
-        samples in 1usize..18,
-        in_features in 1usize..48,
+    fn m1_row_product_matches_n1_column_product_bitwise(
+        in_features in 1usize..800,
         out_features in 1usize..48,
         seed in 0u64..u64::MAX,
     ) {
-        let x = fill(seed, &[samples, in_features]);
-        // Per-sample weights w_s[o, i], packed transposed: wt[i, s·out + o] = w_s[o, i].
-        let w = fill(seed ^ 0xD1CE, &[samples, out_features, in_features]);
-        let mut wt = vec![0.0f32; in_features * samples * out_features];
-        for s in 0..samples {
-            for o in 0..out_features {
-                for i in 0..in_features {
-                    wt[i * samples * out_features + s * out_features + o] =
-                        w.data()[(s * out_features + o) * in_features + i];
-                }
+        let x = fill(seed, &[in_features]);
+        let w = fill(seed ^ 0xD1CE, &[out_features, in_features]);
+        let mut wt = vec![0.0f32; in_features * out_features];
+        for o in 0..out_features {
+            for i in 0..in_features {
+                wt[i * out_features + o] = w.data()[o * in_features + i];
             }
         }
-        let mut fused = vec![0.0f32; samples * out_features];
-        fused_linear_accumulate(&mut fused, x.data(), &wt, samples, in_features, out_features);
-
-        for s in 0..samples {
-            for o in 0..out_features {
-                let mut acc = 0.0f32;
-                for i in 0..in_features {
-                    acc += w.data()[(s * out_features + o) * in_features + i]
-                        * x.data()[s * in_features + i];
-                }
-                prop_assert_eq!(
-                    fused[s * out_features + o].to_bits(),
-                    acc.to_bits(),
-                    "sample {} output {}", s, o,
-                );
-            }
-        }
+        let simd = KernelConfig::with_tier(KernelTier::Simd);
+        let zeros = vec![0.0f32; out_features];
+        let row = run_gemm(simd, &zeros, x.data(), &wt, 1, in_features, out_features);
+        let column = run_gemm(simd, &zeros, w.data(), x.data(), out_features, in_features, 1);
+        assert_bits_eq(&row, &column, "row vs column form")?;
     }
 }
 
@@ -260,8 +265,8 @@ fn scratch_defaults_to_the_process_tier_and_accepts_overrides() {
     assert_eq!(scratch.kernel().tier, KernelTier::default());
     assert_eq!(scratch.kernel().gemm_workers, 1);
     let mut scratch = Scratch::new();
-    scratch.set_kernel(KernelConfig { tier: KernelTier::Blocked, gemm_workers: 3 });
-    assert_eq!(scratch.kernel().tier, KernelTier::Blocked);
+    scratch.set_kernel(KernelConfig { tier: KernelTier::Reference, gemm_workers: 3 });
+    assert_eq!(scratch.kernel().tier, KernelTier::Reference);
     assert_eq!(scratch.kernel().gemm_workers, 3);
 }
 
