@@ -17,8 +17,8 @@ use std::time::Instant;
 
 use shift_bnn::sweep::json::Json;
 use shift_bnn_bench::cluster_views::{
-    cluster_request_count, cluster_summary_json, run_cluster_grid, run_cluster_stress,
-    stress_request_count,
+    cluster_request_count, cluster_summary_json, peak_active_shards, run_cluster_grid,
+    run_cluster_stress, stress_request_count,
 };
 use shift_bnn_bench::{num, percent, print_table};
 
@@ -137,7 +137,7 @@ fn main() {
                 plan.latency_percentile(0.99).to_string(),
                 plan.latency_percentile(0.999).to_string(),
                 plan.scale_events.len().to_string(),
-                plan.scale_events.iter().map(|e| e.active).max().unwrap_or(1).to_string(),
+                peak_active_shards(plan).to_string(),
             ]
         })
         .collect();

@@ -26,8 +26,8 @@
 
 use bnn_serve::{
     ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, ClusterRunReport, DegradeLadder,
-    FaultEvent, FaultPlan, InferRequest, ModelSource, ModelSpec, RetryPolicy, RoutingPolicy,
-    ServeMode, ShardSwap, VersionSwap, WorkloadSpec,
+    FaultEvent, FaultPlan, InferRequest, ModelSource, ModelSpec, NullRecorder, RetryPolicy,
+    RoutingPolicy, ServeMode, ShardSwap, VersionSwap, WorkloadSpec,
 };
 use shift_bnn::sweep::json::Json;
 
@@ -225,8 +225,12 @@ pub fn run_chaos_grid(reduced: bool, workers: usize) -> Vec<(ChaosConfig, Cluste
         .map(|config| {
             let trace = chaos_trace(config.arrival, requests);
             let cluster = Cluster::new(chaos_cluster_config(workers));
-            let report =
-                cluster.run_with_faults(&trace, &config.scenario.swaps, &config.scenario.faults);
+            let report = cluster.run_traced(
+                &trace,
+                &config.scenario.swaps,
+                &config.scenario.faults,
+                &mut NullRecorder,
+            );
             (config, report)
         })
         .collect()
@@ -341,6 +345,7 @@ pub fn chaos_summary_json(grid: &[(ChaosConfig, ClusterRunReport)], reduced: boo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bnn_serve::Event;
 
     #[test]
     fn grid_enumerates_scenario_major() {
@@ -390,9 +395,10 @@ mod tests {
             .iter()
             .find(|(c, _)| c.scenario.name == "crash_storm" && c.arrival.label() == "uniform")
             .unwrap();
-        assert_eq!(report.faults.checkpoint_faults.len(), 1);
-        assert_eq!(report.faults.checkpoint_faults[0].cancelled_swaps, 1);
-        assert_eq!(report.faults.checkpoint_faults[0].shard, 2);
+        assert!(matches!(
+            report.faults.checkpoint_faults[..],
+            [Event::CheckpointFault { shard: 2, cancelled_swaps: 1, .. }]
+        ));
         // Shard 2 never leaves version 0; shard 3's swap lands.
         assert!(report.shard_reports[2].batches.iter().all(|b| b.version == 0));
         assert!(report.shard_reports[3].batches.iter().any(|b| b.version == 1));

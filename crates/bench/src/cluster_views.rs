@@ -11,13 +11,14 @@
 //!
 //! * the **executed grid** — routing policy × arrival process on a 4-shard B-MLP cluster,
 //!   every request answered by real engines (responses digested into the summary);
-//! * the **stress arm** — 250 000-request traces driven through [`Cluster::plan`] (phase A
-//!   only, no inference), where p999 becomes a meaningful tail statistic and autoscaling
-//!   has room to both activate and drain.
+//! * the **stress arm** — 250 000-request traces driven through
+//!   [`Cluster::plan_with_faults`] (phase A only, no inference), where p999 becomes a
+//!   meaningful tail statistic and autoscaling has room to both activate and drain.
 
 use bnn_serve::{
     ArrivalProcess, AutoscalePolicy, BatchPolicy, Cluster, ClusterConfig, ClusterPlan,
-    ClusterRunReport, InferRequest, ModelSource, ModelSpec, RoutingPolicy, ServeMode, WorkloadSpec,
+    ClusterRunReport, Event, FaultPlan, InferRequest, ModelSource, ModelSpec, NullRecorder,
+    RoutingPolicy, ServeMode, WorkloadSpec,
 };
 use shift_bnn::sweep::json::Json;
 
@@ -144,7 +145,12 @@ pub fn run_cluster_grid(
         .into_iter()
         .map(|config| {
             let trace = grid_trace(config.arrival, requests);
-            let report = Cluster::new(bench_cluster_config(config.routing, workers)).run(&trace);
+            let report = Cluster::new(bench_cluster_config(config.routing, workers)).run_traced(
+                &trace,
+                &[],
+                &FaultPlan::none(),
+                &mut NullRecorder,
+            );
             (config, report)
         })
         .collect()
@@ -173,6 +179,18 @@ pub fn stress_configs() -> Vec<StressConfig> {
     configs
 }
 
+/// The most shards autoscaling ever held active during a plan (1 without scaling events).
+pub fn peak_active_shards(plan: &ClusterPlan) -> usize {
+    plan.scale_events
+        .iter()
+        .filter_map(|event| match *event {
+            Event::Scale { active, .. } => Some(active),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(1)
+}
+
 /// Plans the stress arm: hundreds of thousands of requests per point, phase A only. Inputs
 /// use a 1-element shape — the plan prices batches from ε volume and sample counts, so the
 /// tensor payload never matters and trace generation stays cheap.
@@ -199,7 +217,8 @@ pub fn run_cluster_stress(reduced: bool) -> Vec<(StressConfig, ClusterPlan)> {
             .generate_for_shape(&[1]);
             let mut cluster_config = bench_cluster_config(config.routing, 1);
             cluster_config.autoscale = Some(autoscale);
-            let plan = Cluster::new(cluster_config).plan(&trace);
+            let plan =
+                Cluster::new(cluster_config).plan_with_faults(&trace, &[], &FaultPlan::none());
             (config, plan)
         })
         .collect()
@@ -247,7 +266,7 @@ pub fn cluster_summary_json(
     let stress_records: Vec<Json> = stress
         .iter()
         .map(|(config, plan)| {
-            let peak_active = plan.scale_events.iter().map(|e| e.active).max().unwrap_or(1);
+            let peak_active = peak_active_shards(plan);
             Json::obj([
                 ("routing", Json::Str(config.routing.label().into())),
                 ("arrival", Json::Str(config.arrival.label())),
@@ -357,7 +376,7 @@ mod tests {
         .generate_for_shape(&[1]);
         let mut config = bench_cluster_config(RoutingPolicy::LeastLoaded, 1);
         config.autoscale = Some(autoscale);
-        let plan = Cluster::new(config).plan(&trace);
+        let plan = Cluster::new(config).plan_with_faults(&trace, &[], &FaultPlan::none());
         assert_eq!(plan.outcomes.len(), 4000);
         assert!(plan.latency_percentile(0.999) >= plan.latency_percentile(0.50));
     }

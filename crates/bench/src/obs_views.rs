@@ -30,7 +30,7 @@ use bnn_obs::{
 };
 use bnn_serve::{
     ArrivalProcess, Cluster, ClusterConfig, ClusterRunReport, EngineSpec, FaultPlan, InferRequest,
-    InferResponse, ModelSpec, RoutingPolicy, ServeReplica,
+    InferResponse, ModelSpec, NullRecorder, RoutingPolicy, ServeReplica,
 };
 use shift_bnn::sweep::json::Json;
 
@@ -126,7 +126,8 @@ pub fn run_obs_grid(reduced: bool, workers: usize) -> Vec<ObsRun> {
         .map(|config| {
             let trace = obs_trace(config.arrival, requests);
             let cluster = Cluster::new(config.cluster.clone());
-            let untraced = cluster.run_with_faults(&trace, &config.swaps, &config.faults);
+            let untraced =
+                cluster.run_traced(&trace, &config.swaps, &config.faults, &mut NullRecorder);
             let mut rec = TraceRecorder::new();
             let report = cluster.run_traced(&trace, &config.swaps, &config.faults, &mut rec);
             let key = format!("{} x {}", config.scenario, config.arrival.label());
@@ -142,7 +143,7 @@ pub fn run_obs_grid(reduced: bool, workers: usize) -> Vec<ObsRun> {
 
             // One emission code path: serializing the recorded stream reproduces the
             // report's own decision/fault documents byte for byte.
-            let events = rec.into_events();
+            let events = rec.into_inner();
             assert_eq!(
                 export::decision_events_json(&events).to_compact(),
                 report.events_json(),

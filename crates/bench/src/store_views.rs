@@ -14,8 +14,8 @@
 use bnn_models::zoo::TrainableProxy;
 use bnn_models::ModelKind;
 use bnn_serve::{
-    BatchPolicy, EngineSpec, InferenceEngine, ModelSource, ServeRunReport, VersionSwap,
-    WorkloadSpec,
+    BatchPolicy, EngineSpec, InferenceEngine, ModelSource, NullRecorder, ServeRunReport,
+    VersionSwap, WorkloadSpec,
 };
 use bnn_store::{Checkpoint, ModelRegistry};
 use bnn_train::data::SyntheticDataset;
@@ -239,7 +239,7 @@ fn bench_family(registry: &ModelRegistry, kind: ModelKind, reps: usize) -> Store
     let swaps = [VersionSwap { at_tick: STORE_SWAP_TICK, source: v2_source.clone() }];
     let swapped: ServeRunReport =
         InferenceEngine::build(EngineSpec::new(v1_source.clone()).policy(policy).workers(2))
-            .run_with_swaps(&trace, &swaps);
+            .run_traced(&trace, &swaps, &mut NullRecorder);
     let boundary = swapped
         .batches
         .iter()

@@ -65,21 +65,18 @@ pub trait Layer {
         scratch: &mut Scratch,
     ) -> Result<Tensor, TensorError>;
 
-    /// Forward pass of **all** `samples` sampled models over a sample-stacked activation
-    /// (the fused-sampling path). `stacked` holds the per-sample activations sample-major:
-    /// rank-2 `[S, F]` for vectors, rank-3 `[S·C, H, W]` for feature maps, so a flatten is a
-    /// pure reshape and per-channel ops act per-sample for free.
+    /// Inference-only forward pass of **all** `samples` sampled models over a
+    /// sample-stacked activation (the fused-sampling path). `stacked` holds the per-sample
+    /// activations sample-major: rank-2 `[S, F]` for vectors, rank-3 `[S·C, H, W]` for
+    /// feature maps, so a flatten is a pure reshape and per-channel ops act per-sample for
+    /// free.
     ///
     /// The contract is bit-exactness with the per-sample [`Layer::forward`] walk: one
     /// `forward_all` call must produce exactly the stacked concatenation of `samples`
     /// individual `forward` calls — same ε draws from `sources[s]`, same per-scalar
-    /// accumulation orders — and, when `train` is true, leave identical per-sample caches
-    /// and complexity sums behind. When `train` is false a layer may skip backward-only work
-    /// (input caches, complexity accumulation), which makes fused serving *faster*, never
-    /// *different* (pinned by `bnn-serve`'s fused-identity tests).
-    ///
-    /// The default implementation splits, forwards per sample, and restacks — correct for
-    /// any layer; layers with a faster fused evaluation override it.
+    /// accumulation orders. It skips backward-only work (input caches, complexity
+    /// accumulation), which makes fused serving *faster*, never *different* (pinned by
+    /// `bnn-serve`'s fused-identity tests), and leaves nothing behind for a backward pass.
     ///
     /// # Errors
     ///
@@ -89,12 +86,8 @@ pub trait Layer {
         stacked: Tensor,
         samples: usize,
         sources: &mut [Box<dyn EpsilonSource>],
-        train: bool,
         scratch: &mut Scratch,
-    ) -> Result<Tensor, TensorError> {
-        let _ = train;
-        forward_all_split(self, stacked, samples, sources, scratch)
-    }
+    ) -> Result<Tensor, TensorError>;
 
     /// Prepares per-sample caches for an iteration of `samples` Monte-Carlo samples,
     /// recycling whatever the previous iteration left cached (so forward-only iterations
@@ -155,52 +148,6 @@ fn resize_cache<T>(slots: &mut Vec<Option<T>>, samples: usize) {
     if slots.len() < samples {
         slots.resize_with(samples, || None);
     }
-}
-
-/// Takes a stacked tensor for `samples` copies of a per-sample `shape`: rank-3 feature maps
-/// stack along channels (`[S·C, H, W]`), everything else stacks as rows (`[S, len]`).
-fn take_stacked(scratch: &mut Scratch, per_sample: &[usize], samples: usize) -> Tensor {
-    match per_sample {
-        [c, h, w] => scratch.take_tensor(&[samples * c, *h, *w]),
-        shape => scratch.take_tensor(&[samples, shape.iter().product()]),
-    }
-}
-
-/// The generic (and trivially bit-exact) fused walk: split the stacked activation per
-/// sample, run the layer's own per-sample [`Layer::forward`], restack the outputs. Every
-/// `forward_all` override must match this byte for byte; layers without a faster fused
-/// evaluation — and every layer when `train` needs the full per-sample cache shape — defer
-/// to it.
-fn forward_all_split<L: Layer + ?Sized>(
-    layer: &mut L,
-    stacked: Tensor,
-    samples: usize,
-    sources: &mut [Box<dyn EpsilonSource>],
-    scratch: &mut Scratch,
-) -> Result<Tensor, TensorError> {
-    assert!(
-        samples >= 1 && sources.len() >= samples,
-        "fused forward needs one ε source per sample"
-    );
-    let per_len = stacked.len() / samples;
-    let mut out: Option<Tensor> = None;
-    for (s, source) in sources.iter_mut().take(samples).enumerate() {
-        let mut input = match stacked.shape() {
-            &[c, h, w] => scratch.take_tensor(&[c / samples, h, w]),
-            _ => scratch.take_tensor(&[per_len]),
-        };
-        input.data_mut().copy_from_slice(&stacked.data()[s * per_len..(s + 1) * per_len]);
-        let out_s = layer.forward(s, input, source.as_mut(), scratch)?;
-        let dst = match &mut out {
-            Some(t) => t,
-            None => out.insert(take_stacked(scratch, out_s.shape(), samples)),
-        };
-        let n = out_s.len();
-        dst.data_mut()[s * n..(s + 1) * n].copy_from_slice(out_s.data());
-        scratch.put_tensor(out_s);
-    }
-    scratch.put_tensor(stacked);
-    Ok(out.expect("at least one sample"))
 }
 
 /// A Bayesian fully-connected layer: `output = W·input + b` with `W` sampled per Monte-Carlo
@@ -354,14 +301,13 @@ impl Layer for BayesLinear {
     /// *transposed* (`wt[i][o] = w_s[o][i]`) and runs the `m = 1` GEMM `x_sᵀ·w_sᵀ`, whose
     /// rank-1 row updates add each output scalar's terms in precisely the per-sample `n = 1`
     /// product's ascending-`i` order, so the stacked result is bit-identical (pinned by the
-    /// kernel-tier proptests and the serve/train identity tests). When `train` is false the
-    /// complexity loss (one `ln` per weight) and the input cache are skipped.
+    /// kernel-tier proptests and the serve identity tests). The complexity loss (one `ln`
+    /// per weight) and the input cache are skipped.
     fn forward_all(
         &mut self,
         stacked: Tensor,
         samples: usize,
         sources: &mut [Box<dyn EpsilonSource>],
-        train: bool,
         scratch: &mut Scratch,
     ) -> Result<Tensor, TensorError> {
         if stacked.len() != samples * self.in_features {
@@ -378,13 +324,6 @@ impl Layer for BayesLinear {
         for (s, source) in sources.iter_mut().take(samples).enumerate() {
             source.generate_block_into(&mut epsilon);
             self.weights.sample_into(&epsilon, self.config.precision, &mut w);
-            if train {
-                self.accumulated_complexity += self.config.kl_weight
-                    * self.weights.complexity_loss(&w, &epsilon, self.config.prior_sigma);
-                let mut input = scratch.take_tensor(&[inf]);
-                input.data_mut().copy_from_slice(&stacked.data()[s * inf..(s + 1) * inf]);
-                cache_tensor(&mut self.cached_inputs, s, input, scratch);
-            }
             for (o, wrow) in w.data().chunks_exact(inf).enumerate() {
                 for (i, &wv) in wrow.iter().enumerate() {
                     wt[i * outf + o] = wv;
@@ -618,20 +557,15 @@ impl Layer for BayesConv2d {
     }
 
     /// Fused evaluation: the convolution itself stays per-sample (each sample owns a full
-    /// im2col+GEMM pass over its own sampled kernel), but inference-only calls skip the
-    /// complexity loss (one `ln` per weight) and the input cache. Training calls defer to the
-    /// split walk, which leaves byte-identical caches for the per-sample backward stage.
+    /// im2col+GEMM pass over its own sampled kernel), but the complexity loss (one `ln` per
+    /// weight) and the input cache are skipped.
     fn forward_all(
         &mut self,
         stacked: Tensor,
         samples: usize,
         sources: &mut [Box<dyn EpsilonSource>],
-        train: bool,
         scratch: &mut Scratch,
     ) -> Result<Tensor, TensorError> {
-        if train {
-            return forward_all_split(self, stacked, samples, sources, scratch);
-        }
         let sh = stacked.shape();
         let cin = self.geometry.in_channels;
         let cout = self.geometry.out_channels;
@@ -786,20 +720,15 @@ impl Layer for ReluLayer {
         Ok(out)
     }
 
-    /// Fused evaluation: ReLU is elementwise, so inference-only calls apply it to the whole
-    /// stacked activation at once and skip the per-sample input cache. Training calls defer
-    /// to the split walk (the backward stage needs per-sample caches).
+    /// Fused evaluation: ReLU is elementwise, so it applies to the whole stacked activation
+    /// at once, skipping the per-sample input cache.
     fn forward_all(
         &mut self,
         stacked: Tensor,
-        samples: usize,
-        sources: &mut [Box<dyn EpsilonSource>],
-        train: bool,
+        _samples: usize,
+        _sources: &mut [Box<dyn EpsilonSource>],
         scratch: &mut Scratch,
     ) -> Result<Tensor, TensorError> {
-        if train {
-            return forward_all_split(self, stacked, samples, sources, scratch);
-        }
         let mut out = scratch.take_tensor(stacked.shape());
         relu_into(&stacked, &mut out);
         scratch.put_tensor(stacked);
@@ -893,19 +822,14 @@ impl Layer for MaxPoolLayer {
 
     /// Fused evaluation: pooling acts per channel, and the stacked layout `[S·C, H, W]`
     /// keeps every sample's channels contiguous — one pooling pass over the stacked map *is*
-    /// `S` per-sample passes. Inference-only calls skip the argmax cache; training calls
-    /// defer to the split walk.
+    /// `S` per-sample passes. The argmax cache is skipped.
     fn forward_all(
         &mut self,
         stacked: Tensor,
-        samples: usize,
-        sources: &mut [Box<dyn EpsilonSource>],
-        train: bool,
+        _samples: usize,
+        _sources: &mut [Box<dyn EpsilonSource>],
         scratch: &mut Scratch,
     ) -> Result<Tensor, TensorError> {
-        if train {
-            return forward_all_split(self, stacked, samples, sources, scratch);
-        }
         let shape = stacked.shape();
         if shape.len() != 3
             || !shape[1].is_multiple_of(self.window)
@@ -996,19 +920,14 @@ impl Layer for FlattenLayer {
     }
 
     /// Fused evaluation: the stacked layout is sample-major, so flattening `[S·C, H, W]` to
-    /// `[S, C·H·W]` is a pure in-place reshape. Inference-only calls skip the shape cache;
-    /// training calls defer to the split walk.
+    /// `[S, C·H·W]` is a pure in-place reshape. The shape cache is skipped.
     fn forward_all(
         &mut self,
         mut stacked: Tensor,
         samples: usize,
-        sources: &mut [Box<dyn EpsilonSource>],
-        train: bool,
-        scratch: &mut Scratch,
+        _sources: &mut [Box<dyn EpsilonSource>],
+        _scratch: &mut Scratch,
     ) -> Result<Tensor, TensorError> {
-        if train {
-            return forward_all_split(self, stacked, samples, sources, scratch);
-        }
         let per_len = stacked.len() / samples;
         stacked.reshape_in_place(&[samples, per_len])?;
         Ok(stacked)

@@ -154,13 +154,6 @@ impl Network {
         self.scratch.put_tensor(tensor);
     }
 
-    /// Takes a zero-filled tensor from the network's internal arena — the counterpart of
-    /// [`Network::recycle`] for drivers (like the trainer's fused forward stage) that need a
-    /// short-lived buffer without allocating.
-    pub fn take_buffer(&mut self, shape: &[usize]) -> Tensor {
-        self.scratch.take_tensor(shape)
-    }
-
     /// The kernel configuration (tier + GEMM worker budget) this network's layer stack
     /// dispatches on.
     pub fn kernel(&self) -> KernelConfig {
@@ -174,15 +167,14 @@ impl Network {
         self.scratch.set_kernel(kernel);
     }
 
-    /// Forward pass of **all** sampled models at once over a sample-stacked copy of `input`
-    /// (the fused-sampling path, PR 8): returns the stacked `[S, classes]` outputs. One
-    /// [`Layer::forward_all`] call per layer replaces `S` per-layer visits, which turns the
-    /// `S` matvecs of every linear layer into a single wide GEMM.
+    /// Inference-only forward pass of **all** sampled models at once over a sample-stacked
+    /// copy of `input` (the fused-sampling path): returns the stacked `[S, classes]` outputs.
+    /// One [`Layer::forward_all`] call per layer replaces `S` per-layer visits.
     ///
-    /// Bit-identical to `sources.len()` individual [`Network::forward_sample`] calls; with
-    /// `train = true` it also leaves identical per-sample caches and complexity sums behind,
-    /// so the per-sample backward stage runs unchanged on top of a fused forward stage.
-    /// Callers drive [`Network::begin_iteration`] first, exactly as with `forward_sample`.
+    /// Bit-identical outputs to `sources.len()` individual [`Network::forward_sample`]
+    /// calls, but no per-sample caches or complexity sums are left behind, so no backward
+    /// pass can follow it. Callers drive [`Network::begin_iteration`] first, exactly as with
+    /// `forward_sample`.
     ///
     /// # Errors
     ///
@@ -195,7 +187,6 @@ impl Network {
         &mut self,
         input: &Tensor,
         sources: &mut [Box<dyn EpsilonSource>],
-        train: bool,
     ) -> Result<Tensor, TensorError> {
         let samples = sources.len();
         assert!(samples >= 1, "fused forward needs at least one ε source");
@@ -208,7 +199,7 @@ impl Network {
             x.data_mut()[s * n..(s + 1) * n].copy_from_slice(input.data());
         }
         for layer in &mut self.layers {
-            x = layer.forward_all(x, samples, sources, train, &mut self.scratch)?;
+            x = layer.forward_all(x, samples, sources, &mut self.scratch)?;
         }
         Ok(x)
     }
@@ -356,8 +347,8 @@ impl Network {
     }
 
     /// [`Network::predictive_into`] on the fused-sampling path: the `S` forward passes run
-    /// stacked through [`Network::forward_all_samples`] (inference-only, so Bayesian layers
-    /// skip complexity-loss and cache work), then each stacked row is softmaxed and
+    /// stacked through [`Network::forward_all_samples`] (Bayesian layers skip complexity-loss
+    /// and cache work), then each stacked row is softmaxed and
     /// aggregated in sample order exactly as the per-sample path does.
     ///
     /// **Bit-identical** to `predictive_into` for the same `(posterior, input, sources)` —
@@ -380,7 +371,7 @@ impl Network {
         assert!(!sources.is_empty(), "predictive inference needs at least one ε source");
         let samples = sources.len();
         self.begin_iteration(samples);
-        let stacked = self.forward_all_samples(input, sources, false)?;
+        let stacked = self.forward_all_samples(input, sources)?;
         let classes = stacked.len() / samples;
         let mut probs = self.scratch.take_tensor(&[classes]);
         let mut sum = self.scratch.take_tensor(&[classes]);

@@ -112,10 +112,6 @@ pub struct Trainer {
     /// Per-sample loss gradients held between the forward and backward stages; the tensors
     /// cycle through the network's scratch arena, so the steady state allocates nothing.
     grad_store: Vec<Tensor>,
-    /// Whether the forward stage runs fused (all `S` sampled passes stacked through
-    /// [`Network::forward_all_samples`]). Runtime-only — never serialized: the fused stage
-    /// is bit-identical to the per-sample one, so it is not part of the training recipe.
-    fused_forward: bool,
 }
 
 impl std::fmt::Debug for Trainer {
@@ -153,14 +149,7 @@ impl Trainer {
     /// Returns an error if GRNG construction fails.
     pub fn new(network: Network, config: TrainerConfig) -> Result<Self, TrainError> {
         let sources = build_sources(&config)?;
-        Ok(Self {
-            network,
-            sources,
-            config,
-            steps: 0,
-            grad_store: Vec::new(),
-            fused_forward: false,
-        })
+        Ok(Self { network, sources, config, steps: 0, grad_store: Vec::new() })
     }
 
     /// Rebuilds a trainer from a [`TrainerSnapshot`], bit-exactly: the network, the step
@@ -231,21 +220,6 @@ impl Trainer {
         self.sources.iter().map(|s| s.stored_values()).sum()
     }
 
-    /// Enables or disables the fused forward stage: all `S` sampled forward passes batched
-    /// through [`Network::forward_all_samples`] instead of `S` per-sample walks. Off by
-    /// default. A runtime knob rather than a [`TrainerConfig`] field because the config is
-    /// persisted inside checkpoints and the fused stage changes **no bit** of the training
-    /// trajectory (pinned by the fused-training identity test) — a resumed run may toggle it
-    /// freely.
-    pub fn set_fused_forward(&mut self, fused: bool) {
-        self.fused_forward = fused;
-    }
-
-    /// Whether the fused forward stage is enabled.
-    pub fn fused_forward(&self) -> bool {
-        self.fused_forward
-    }
-
     /// Trains on one example (minibatch of 1, as the paper's characterization assumes).
     ///
     /// # Errors
@@ -265,26 +239,11 @@ impl Trainer {
         // that errored mid-iteration and left stale gradients behind.
         self.grad_store.clear();
         let mut nll_sum = 0.0f32;
-        if self.fused_forward {
-            // Fused stage: one stacked walk leaves bit-identical per-sample caches behind,
-            // so the per-sample backward loop below runs unchanged.
-            let stacked = self.network.forward_all_samples(image, &mut self.sources, true)?;
-            let classes = stacked.len() / samples;
-            for s in 0..samples {
-                let mut logits = self.network.take_buffer(&[classes]);
-                logits.data_mut().copy_from_slice(&stacked.data()[s * classes..(s + 1) * classes]);
-                let (nll, grad) = softmax_cross_entropy_owned(logits, label);
-                nll_sum += nll;
-                self.grad_store.push(grad);
-            }
-            self.network.recycle(stacked);
-        } else {
-            for (s, source) in self.sources.iter_mut().enumerate() {
-                let logits = self.network.forward_sample(s, image, source.as_mut())?;
-                let (nll, grad) = softmax_cross_entropy_owned(logits, label);
-                nll_sum += nll;
-                self.grad_store.push(grad);
-            }
+        for (s, source) in self.sources.iter_mut().enumerate() {
+            let logits = self.network.forward_sample(s, image, source.as_mut())?;
+            let (nll, grad) = softmax_cross_entropy_owned(logits, label);
+            nll_sum += nll;
+            self.grad_store.push(grad);
         }
 
         // Backward + gradient-calculation stages, sample by sample, retrieving ε. The loss

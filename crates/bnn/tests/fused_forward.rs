@@ -1,15 +1,11 @@
-//! Fused-sampling identity tests (PR 8): batching all `S` sampled forward passes into one
-//! stacked walk — `Network::forward_all_samples` / `Network::predictive_fused_into` — must be
-//! a pure layout change. Every number the per-sample path produces, the fused path must
-//! reproduce **bit for bit**: predictive summaries at inference time, and the complete
-//! training trajectory (losses, posteriors, GRNG states) when the trainer's forward stage
-//! runs fused.
+//! Fused-sampling identity tests: batching all `S` sampled forward passes into one stacked
+//! walk — `Network::forward_all_samples` / `Network::predictive_fused_into` — must be a pure
+//! layout change. Every predictive summary the per-sample path produces, the fused path must
+//! reproduce **bit for bit**.
 
 use bnn_tensor::{KernelConfig, KernelTier};
-use bnn_train::data::SyntheticDataset;
 use bnn_train::epsilon::LfsrForward;
 use bnn_train::network::Network;
-use bnn_train::trainer::{Trainer, TrainerConfig};
 use bnn_train::variational::BayesConfig;
 use bnn_train::EpsilonSource;
 use proptest::prelude::*;
@@ -71,51 +67,6 @@ proptest! {
         // per-sample path after a fused run reproduces the summary again.
         let mut sources = forward_sources(samples, seed);
         prop_assert_eq!(net.predictive(&input, &mut sources).unwrap(), per_sample);
-    }
-
-    /// A trainer with the fused forward stage produces the same trajectory as the
-    /// per-sample trainer: identical step metrics, identical final posterior, identical
-    /// GRNG registers — the fused stage leaves bit-identical caches for the backward stage.
-    #[test]
-    fn fused_training_trajectory_is_bit_identical(
-        samples in 1usize..5,
-        seed in 1u64..10_000,
-        conv in prop::bool::ANY,
-    ) {
-        let build = || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let config = BayesConfig { kl_weight: 1e-3, ..BayesConfig::default() };
-            let network = if conv {
-                Network::bayes_lenet(&[1, 8, 8], 3, config, &mut rng)
-            } else {
-                Network::bayes_mlp(12, &[8], 3, config, &mut rng)
-            };
-            Trainer::new(
-                bit_exact(network),
-                TrainerConfig { samples, learning_rate: 0.05, seed: seed ^ 0x5A5A, ..TrainerConfig::default() },
-            )
-            .unwrap()
-        };
-        let data = if conv {
-            SyntheticDataset::generate(&[1, 8, 8], 3, 3, 0.2, seed)
-        } else {
-            SyntheticDataset::generate(&[12], 3, 3, 0.2, seed)
-        };
-        let mut per_sample = build();
-        let mut fused = build();
-        fused.set_fused_forward(true);
-        prop_assert!(fused.fused_forward());
-        for _ in 0..2 {
-            for (image, label) in data.iter() {
-                let a = per_sample.train_example(image, label).unwrap();
-                let b = fused.train_example(image, label).unwrap();
-                prop_assert_eq!(a, b, "step metrics diverged");
-            }
-        }
-        let a = per_sample.snapshot();
-        let b = fused.snapshot();
-        prop_assert_eq!(a.network, b.network, "posteriors diverged");
-        prop_assert_eq!(a.sources, b.sources, "GRNG states diverged");
     }
 }
 

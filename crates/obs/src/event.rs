@@ -1,11 +1,10 @@
 //! The tick-stamped event vocabulary every recorded serving run is described in.
 //!
 //! One [`Event`] is one stage transition (or one control decision) at one exact simulated
-//! tick. The variants mirror the serving stack's typed decision events field for field —
-//! [`Event::Shed`] carries exactly what `bnn_serve::ShedEvent` carries, [`Event::Retry`]
-//! exactly what `bnn_serve::faults::RetryEvent` carries, and so on — so the exporter in
-//! [`crate::export`] can serialize either source through one code path, byte-identically to
-//! the historical per-type serializers.
+//! tick. It is the serving stack's only decision vocabulary: the cluster builds each shed,
+//! escalation, scaling, retry, ladder and checkpoint-fallback decision once, as an `Event`,
+//! and both the recorder stream and the run report's per-family lists carry that value, so
+//! the exporter in [`crate::export`] serializes either through one code path.
 //!
 //! Every variant is `Copy` and holds only integers and `&'static str` labels: recording an
 //! event is a fixed-size store with no heap traffic, which is what lets the enabled
@@ -18,7 +17,7 @@
 /// [`Event::CheckpointFault`] and [`Event::BatchSeal`]) carry the caller-chosen request id;
 /// span assembly and stage attribution group by it, so ids should be unique within a trace
 /// (the workload generator's always are).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// A request joined a shard's open batch at `tick` (its arrival, or its final retry's
     /// submission tick). `queue_depth` is the shard's backlog at the admission decision —
@@ -73,7 +72,7 @@ pub enum Event {
         version: usize,
     },
     /// A crash evicted (or no live shard could take) `request`; it re-enters the router at
-    /// `retry_tick` after its deterministic backoff. Mirrors `bnn_serve::faults::RetryEvent`.
+    /// `retry_tick` after its deterministic backoff.
     Retry {
         /// The retried request's id.
         request: u64,
@@ -86,8 +85,8 @@ pub enum Event {
         /// Which retry attempt this is (1-indexed).
         attempt: u32,
     },
-    /// The degradation ladder changed level at a submission tick. Mirrors
-    /// `bnn_serve::faults::DegradeEvent` (labels are the `DegradeLevel` labels).
+    /// The degradation ladder changed level at a submission tick (labels are the serving
+    /// crate's `DegradeLevel` labels).
     Degrade {
         /// The submission tick of the transition.
         tick: u64,
@@ -99,7 +98,6 @@ pub enum Event {
         backlog: usize,
     },
     /// A hot-swap's incoming version failed validation; the shard kept its prior version.
-    /// Mirrors `bnn_serve::faults::CheckpointFaultEvent`.
     CheckpointFault {
         /// The `at_tick` of the failed swap.
         tick: u64,
@@ -108,8 +106,8 @@ pub enum Event {
         /// Scheduled swaps cancelled at this (shard, tick).
         cancelled_swaps: usize,
     },
-    /// A request was shed — the terminal leaf of an unanswered request's span tree.
-    /// Mirrors `bnn_serve::ShedEvent` (the label is the `ShedReason` label).
+    /// A request was shed — the terminal leaf of an unanswered request's span tree (the label
+    /// is the serving crate's `ShedReason` label).
     Shed {
         /// The shed request's id.
         request: u64,
@@ -120,8 +118,7 @@ pub enum Event {
         /// The shed reason's machine label.
         reason: &'static str,
     },
-    /// A two-tier escalation decision at the request's low-pass completion tick. Mirrors
-    /// `bnn_serve::EscalationEvent`.
+    /// A two-tier escalation decision at the request's low-pass completion tick.
     Escalation {
         /// The escalated request's id.
         request: u64,
@@ -130,7 +127,7 @@ pub enum Event {
         /// Whether the high shard admitted the escalation.
         admitted: bool,
     },
-    /// An autoscaling decision. Mirrors `bnn_serve::ScaleEvent`.
+    /// An autoscaling decision.
     Scale {
         /// The epoch tick.
         tick: u64,

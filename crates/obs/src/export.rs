@@ -1,13 +1,11 @@
 //! The single serialization path for recorded decision events.
 //!
-//! Before this crate existed, `bnn_serve` serialized its shed/escalation/scale events and
-//! its fault trace through per-type private functions. Those byte layouts are pinned by
-//! committed benchmark baselines (`BENCH_cluster_summary.json`, `BENCH_chaos_summary.json`),
-//! so this module reproduces them **exactly** — same keys, same order, same variants — and
-//! the serving crate now routes both its report-based exports and any recorder-based stream
-//! through these functions. One emission code path; the historical digests don't move.
+//! The decision payload layouts are pinned by committed benchmark baselines
+//! (`BENCH_cluster_summary.json`, `BENCH_chaos_summary.json`): same keys, same order, same
+//! variants. The serving crate's reports hold their decisions as [`Event`]s and serialize
+//! them here, exactly as a recorded stream is serialized — one emission code path.
 //!
-//! [`decision_events_json`] and [`fault_events_json`] filter a stream down to the legacy
+//! [`decision_events_json`] and [`fault_events_json`] filter a stream down to the pinned
 //! event families; [`stream_json`] serializes a full recorded stream with type tags for
 //! digesting whole traces.
 
@@ -15,9 +13,9 @@ use shift_bnn::sweep::json::{fnv1a_hex, Json};
 
 use crate::event::Event;
 
-/// The legacy (baseline-pinned) payload of one event — exactly the key order the serving
-/// crate's per-type serializers used. Stage-transition variants that predate no baseline
-/// (admit/close/dispatch/compute/seal/answer) get analogous field-order payloads.
+/// The baseline-pinned payload of one event, keys in field order. Stage-transition variants
+/// no baseline pins (admit/close/dispatch/compute/seal/answer) get analogous field-order
+/// payloads.
 pub fn event_payload(event: &Event) -> Json {
     match *event {
         Event::Admit { request, tick, shard, queue_depth } => Json::obj([
@@ -93,8 +91,8 @@ fn payloads<'a>(
 }
 
 /// The cluster decision-event document — `{sheds, escalations, scale_events}` — filtered
-/// from a recorded stream. Byte-identical to the serving report's historical
-/// `events_json` layout (minus the final `to_compact`, which the caller applies).
+/// from a recorded stream or a report's decision lists; the serving report's `events_json`
+/// is this document, compacted.
 pub fn decision_events_json<'a>(events: impl IntoIterator<Item = &'a Event> + Clone) -> Json {
     Json::obj([
         ("sheds", payloads(events.clone(), |e| matches!(e, Event::Shed { .. }))),
@@ -104,7 +102,7 @@ pub fn decision_events_json<'a>(events: impl IntoIterator<Item = &'a Event> + Cl
 }
 
 /// The fault-trace document — `{retries, degrades, checkpoint_faults}` — filtered from a
-/// recorded stream. Byte-identical to the historical `FaultTrace::to_json` layout.
+/// recorded stream or a fault trace's lists; the serving crate's `FaultTrace::to_json`.
 pub fn fault_events_json<'a>(events: impl IntoIterator<Item = &'a Event> + Clone) -> Json {
     Json::obj([
         ("retries", payloads(events.clone(), |e| matches!(e, Event::Retry { .. }))),

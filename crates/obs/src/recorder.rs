@@ -26,9 +26,10 @@ pub trait Recorder {
     fn record(&mut self, event: Event);
 }
 
-/// The no-op recorder: `ENABLED = false`, so guarded call sites compile to nothing. Every
-/// untraced entry point (`Cluster::run`, `InferenceEngine::run`, …) is a thin wrapper
-/// passing this.
+/// The no-op recorder: `ENABLED = false`, so guarded call sites compile to nothing. Untraced
+/// runs pass it to the traced entry points (`Cluster::run_traced`,
+/// `InferenceEngine::run_traced`); `Cluster::plan_with_faults` and `InferenceEngine::run`
+/// pass it themselves.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullRecorder;
 
@@ -89,7 +90,7 @@ impl TraceRecorder {
     }
 
     /// Consumes the recorder, returning the event buffer.
-    pub fn into_events(self) -> Vec<Event> {
+    pub fn into_inner(self) -> Vec<Event> {
         self.events
     }
 }

@@ -24,26 +24,32 @@
 //!
 //! Everything above runs in the simulated tick domain: arrival ticks come from the trace, and
 //! every shard times its batches on its own [`BatchClock`](crate::batcher) — the same state
-//! machine [`InferenceEngine::run_with_swaps`] times a whole trace on (same coalescing, same
+//! machine [`InferenceEngine::run_traced`] times a whole trace on (same coalescing, same
 //! `BATCH_OVERHEAD_TICKS` + ε-volume pricing, same version-at-service-start swap rule).
 //! Routing, shedding, escalation and scaling decisions are pure functions of (trace, config,
-//! swap schedule); responses are pure functions of (request, posterior, `S`). No wall clock is
-//! read anywhere on the result path, so an N-shard × M-worker cluster run serializes
-//! **byte-identically** on every machine, at every worker count — and each shard's slice of
-//! the run equals a standalone single-shard run over the sub-trace the router handed it
-//! (`tests/cluster_determinism.rs` pins both).
+//! swap schedule, fault plan); responses are pure functions of (request, posterior, `S`). No
+//! wall clock is read anywhere on the result path, so an N-shard × M-worker cluster run
+//! serializes **byte-identically** on every machine, at every worker count — and each shard's
+//! slice of the run equals a standalone single-shard run over the sub-trace the router handed
+//! it (`tests/cluster_determinism.rs` pins both).
+//!
+//! Every decision is a [`bnn_obs::Event`], built once where it is made: the recorder stream
+//! and the report's per-family lists (`sheds`, `escalations`, `scale_events` and the
+//! [`FaultTrace`]'s `retries`, `degrades`, `checkpoint_faults`) carry the same values, and
+//! [`bnn_obs::export`] serializes both.
 //!
 //! Internally a run has two phases. Phase A (the *plan*) walks arrivals in trace order,
 //! queries each shard's clock for backlog and completion estimates, and makes every decision;
-//! it never touches a network, so it scales to million-request traces ([`Cluster::plan`]
-//! exposes it directly). Phase B hands each shard's admitted requests and the batches its
-//! clock closed to that shard's own [`InferenceEngine`], which executes exactly those batches
-//! on its pool — the report's timing and its answers come from one clock.
+//! it never touches a network, so it scales to million-request traces
+//! ([`Cluster::plan_with_faults`] exposes it directly). Phase B hands each shard's admitted
+//! requests and the batches its clock closed to that shard's own [`InferenceEngine`], which
+//! executes exactly those batches on its pool — the report's timing and its answers come from
+//! one clock ([`Cluster::run_traced`]).
 
 use crate::batcher::{BatchClock, BatchPolicy};
 use crate::builder::EngineSpec;
 use crate::engine::{BatchStat, InferenceEngine, ServeRunReport, VersionSwap};
-use crate::faults::{DegradeEvent, DegradeLevel, FaultPlan, FaultTimeline, FaultTrace, RetryEvent};
+use crate::faults::{DegradeLevel, FaultPlan, FaultTimeline, FaultTrace, RetryPolicy};
 use crate::request::{InferRequest, InferResponse};
 use crate::spec::{ModelSource, ServeMode};
 use bnn_obs::{export, Event, NullRecorder, Recorder};
@@ -209,68 +215,6 @@ impl ShedReason {
     }
 }
 
-/// One load-shedding decision: which request, the exact tick, where and why.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShedEvent {
-    /// The shed request's id.
-    pub request: u64,
-    /// The tick the decision was made at (the request's arrival tick).
-    pub tick: u64,
-    /// The shard the router had chosen.
-    pub shard: usize,
-    /// Why it was shed.
-    pub reason: ShedReason,
-}
-
-impl ShedEvent {
-    /// The event in the observability vocabulary — what the recorder stream carries and the
-    /// report's serialization goes through.
-    pub fn to_event(&self) -> Event {
-        Event::Shed {
-            request: self.request,
-            tick: self.tick,
-            shard: self.shard,
-            reason: self.reason.label(),
-        }
-    }
-}
-
-/// One escalation decision of the two-tier policy: which request, the exact tick (its
-/// low-pass completion), and whether the high shard admitted it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EscalationEvent {
-    /// The escalated request's id.
-    pub request: u64,
-    /// The tick the low-tier answer (and its entropy) became available.
-    pub tick: u64,
-    /// Whether the high shard admitted the escalation (a shed escalation keeps the
-    /// low-tier answer).
-    pub admitted: bool,
-}
-
-impl EscalationEvent {
-    /// The event in the observability vocabulary.
-    pub fn to_event(&self) -> Event {
-        Event::Escalation { request: self.request, tick: self.tick, admitted: self.admitted }
-    }
-}
-
-/// One autoscaling decision: the epoch tick and the resulting active-shard count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScaleEvent {
-    /// The deterministic epoch tick the decision fired at.
-    pub tick: u64,
-    /// Active shards after the decision.
-    pub active: usize,
-}
-
-impl ScaleEvent {
-    /// The event in the observability vocabulary.
-    pub fn to_event(&self) -> Event {
-        Event::Scale { tick: self.tick, active: self.active }
-    }
-}
-
 /// What happened to one submitted request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestOutcome {
@@ -304,17 +248,18 @@ pub use crate::stats::latency_percentile;
 
 /// The routing/admission/timing plan of a cluster run — everything except the answers.
 ///
-/// Produced by [`Cluster::plan`] without materializing a single network replica, so it scales
-/// to arbitrarily long traces; [`Cluster::run`] executes the same plan and fills in real
-/// responses.
+/// Produced by [`Cluster::plan_with_faults`] without materializing a single network replica,
+/// so it scales to arbitrarily long traces; [`Cluster::run_traced`] executes the same plan and
+/// fills in real responses. Every decision list holds [`Event`]s of one variant, in decision
+/// order — the values the recorder saw.
 #[derive(Debug, Clone)]
 pub struct ClusterPlan {
     /// Per submitted request, in trace order.
     pub outcomes: Vec<RequestOutcome>,
-    /// Every shed decision, in decision order.
-    pub sheds: Vec<ShedEvent>,
-    /// Every autoscaling decision, in epoch order.
-    pub scale_events: Vec<ScaleEvent>,
+    /// Every shed decision ([`Event::Shed`]), in decision order.
+    pub sheds: Vec<Event>,
+    /// Every autoscaling decision ([`Event::Scale`]), in epoch order.
+    pub scale_events: Vec<Event>,
     /// Answered-request latencies (completion − arrival), in trace order of the answered.
     pub latencies: Vec<u64>,
     /// Tick the last batch on any shard completes at (0 for an empty plan).
@@ -353,14 +298,93 @@ impl ClusterPlan {
     }
 }
 
+/// Records `event` and appends it to its family's list: the one place a decision is both
+/// observed by the recorder and kept for the report.
+fn decide<R: Recorder>(rec: &mut R, family: &mut Vec<Event>, event: Event) {
+    if R::ENABLED {
+        rec.record(event);
+    }
+    family.push(event);
+}
+
+/// Phase A's decisions as the router makes them, and the failover retry schedule they feed.
+struct Decisions {
+    outcomes: Vec<Option<RequestOutcome>>,
+    sheds: Vec<Event>,
+    scale_events: Vec<Event>,
+    retries: Vec<Event>,
+    degrades: Vec<Event>,
+    /// `Reverse<(retry tick, schedule sequence, trace index)>` pops the earliest retry, in
+    /// schedule order on ties.
+    retry_heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    retry_seq: u64,
+    /// Failed submissions per request.
+    attempts: Vec<u32>,
+}
+
+impl Decisions {
+    fn new(requests: usize) -> Decisions {
+        Decisions {
+            outcomes: vec![None; requests],
+            sheds: Vec::new(),
+            scale_events: Vec::new(),
+            retries: Vec::new(),
+            degrades: Vec::new(),
+            retry_heap: BinaryHeap::new(),
+            retry_seq: 0,
+            attempts: vec![0; requests],
+        }
+    }
+
+    /// Sheds the request at trace index `i` at `tick`.
+    fn shed<R: Recorder>(
+        &mut self,
+        rec: &mut R,
+        i: usize,
+        request: u64,
+        tick: u64,
+        shard: usize,
+        reason: ShedReason,
+    ) {
+        self.outcomes[i] = Some(RequestOutcome::Shed { tick, shard, reason });
+        decide(rec, &mut self.sheds, Event::Shed { request, tick, shard, reason: reason.label() });
+    }
+
+    /// A submission of the request at trace index `i` failed at `tick`: the crash of `shard`
+    /// evicted it, or (`None`) no shard was live. It retries after the policy's backoff while
+    /// its budget lasts, and is shed once the budget is spent — `RetryBudgetExhausted` citing
+    /// the crashed shard, or `ShardUnavailable` citing shard 0 by convention.
+    fn fail_over<R: Recorder>(
+        &mut self,
+        rec: &mut R,
+        policy: &RetryPolicy,
+        i: usize,
+        request: u64,
+        tick: u64,
+        shard: Option<usize>,
+    ) {
+        self.attempts[i] += 1;
+        let attempt = self.attempts[i];
+        if attempt <= policy.max_retries {
+            let retry_tick = tick + policy.backoff_ticks(attempt);
+            self.retry_heap.push(Reverse((retry_tick, self.retry_seq, i)));
+            self.retry_seq += 1;
+            let event = Event::Retry { request, failed_tick: tick, retry_tick, shard, attempt };
+            decide(rec, &mut self.retries, event);
+        } else {
+            let reason = match shard {
+                Some(_) => ShedReason::RetryBudgetExhausted,
+                None => ShedReason::ShardUnavailable,
+            };
+            self.shed(rec, i, request, tick, shard.unwrap_or(0), reason);
+        }
+    }
+}
+
 /// Phase A's decisions, plus the work phase B executes.
 struct Routing {
     work: ShardWork,
-    outcomes: Vec<Option<RequestOutcome>>,
-    sheds: Vec<ShedEvent>,
-    scale_events: Vec<ScaleEvent>,
-    retries: Vec<RetryEvent>,
-    degrades: Vec<DegradeEvent>,
+    decisions: Decisions,
     levels: Vec<DegradeLevel>,
 }
 
@@ -504,10 +528,10 @@ impl Cluster {
     /// Under [`FaultPlan::none`] the loop degenerates to exactly the pre-fault router:
     /// arrivals in trace order, epochs before each, no retries, every level `Normal`.
     ///
-    /// The recorder observes every decision the loop makes — admissions (with the queue
-    /// depth the admission control compared), sheds, retries, ladder transitions, scale
-    /// epochs — at the exact ticks the typed event lists carry. It is written to, never
-    /// read, so routing is byte-identical with any recorder.
+    /// Each decision is built once, as an [`Event`]: the recorder sees it and the report's
+    /// lists keep it, at the same tick. Admissions (with the queue depth the admission
+    /// control compared) are recorded too. The recorder is written to, never read, so
+    /// routing is byte-identical with any recorder.
     fn route<R: Recorder>(
         &self,
         trace: &[InferRequest],
@@ -526,14 +550,10 @@ impl Cluster {
             })
             .collect();
         let mut routed: Vec<Vec<usize>> = vec![Vec::new(); self.config.shards];
-        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
-        let mut sheds = Vec::new();
-        let mut scale_events = Vec::new();
+        let mut decisions = Decisions::new(trace.len());
         let mut effective_samples = vec![0usize; trace.len()];
         let mut admitted_ticks = vec![0u64; trace.len()];
         let mut levels = vec![DegradeLevel::Normal; trace.len()];
-        let mut retries: Vec<RetryEvent> = Vec::new();
-        let mut degrades: Vec<DegradeEvent> = Vec::new();
 
         let mut active = match self.config.autoscale {
             Some(scale) => scale.min_active,
@@ -546,18 +566,13 @@ impl Cluster {
         // Liveness per routable shard, flipped by the fault timeline's transitions.
         let mut up = vec![true; routable];
         let mut tr_idx = 0usize;
-        // Retry heap: Reverse<(retry tick, schedule sequence, trace index)> pops the
-        // earliest retry, in schedule order on ties.
-        let mut retry_heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-        let mut retry_seq = 0u64;
-        let mut attempts = vec![0u32; trace.len()];
         let mut current_level = DegradeLevel::Normal;
         let mut arrival_idx = 0usize;
 
         loop {
             // Rule 1: the next submission is the earliest of the retry heap and the arrival
             // cursor; the retry wins ties.
-            let next_retry = retry_heap.peek().map(|&Reverse(key)| key);
+            let next_retry = decisions.retry_heap.peek().map(|&Reverse(key)| key);
             let next_arrival = (arrival_idx < trace.len()).then(|| trace[arrival_idx].arrival_tick);
             let next_sub_tick = match (next_retry, next_arrival) {
                 (Some((rt, _, _)), Some(at)) => Some(rt.min(at)),
@@ -585,41 +600,14 @@ impl Cluster {
                     // open batch's members fail over. They are the exact tail of this
                     // shard's admission order, so un-routing them is a truncation.
                     let evicted = clocks[shard].evict_open(tick);
-                    if !evicted.is_empty() {
-                        let keep = routed[shard].len() - evicted.len();
-                        debug_assert!(
-                            routed[shard][keep..] == evicted[..],
-                            "the open batch must be the tail of the shard's admission order"
-                        );
-                        routed[shard].truncate(keep);
-                        for &i in &evicted {
-                            attempts[i] += 1;
-                            let attempt = attempts[i];
-                            if attempt <= faults.retry.max_retries {
-                                let retry_tick = tick + faults.retry.backoff_ticks(attempt);
-                                retry_heap.push(Reverse((retry_tick, retry_seq, i)));
-                                retry_seq += 1;
-                                let event = RetryEvent {
-                                    request: trace[i].id,
-                                    failed_tick: tick,
-                                    retry_tick,
-                                    shard: Some(shard),
-                                    attempt,
-                                };
-                                if R::ENABLED {
-                                    rec.record(event.to_event());
-                                }
-                                retries.push(event);
-                            } else {
-                                let reason = ShedReason::RetryBudgetExhausted;
-                                let event = ShedEvent { request: trace[i].id, tick, shard, reason };
-                                if R::ENABLED {
-                                    rec.record(event.to_event());
-                                }
-                                sheds.push(event);
-                                outcomes[i] = Some(RequestOutcome::Shed { tick, shard, reason });
-                            }
-                        }
+                    let keep = routed[shard].len() - evicted.len();
+                    debug_assert!(
+                        routed[shard][keep..] == evicted[..],
+                        "the open batch must be the tail of the shard's admission order"
+                    );
+                    routed[shard].truncate(keep);
+                    for &i in &evicted {
+                        decisions.fail_over(rec, &faults.retry, i, trace[i].id, tick, Some(shard));
                     }
                 }
                 continue;
@@ -629,18 +617,15 @@ impl Cluster {
                 let epoch = next_epoch.expect("ep_due implies an epoch");
                 let backlog: usize =
                     clocks[..active].iter_mut().map(|clock| clock.backlog(epoch)).sum();
+                let before = active;
                 if backlog > scale.high_watermark * active && active < routable {
                     active += 1;
-                    if R::ENABLED {
-                        rec.record(Event::Scale { tick: epoch, active });
-                    }
-                    scale_events.push(ScaleEvent { tick: epoch, active });
                 } else if backlog < scale.low_watermark * active && active > scale.min_active {
                     active -= 1;
-                    if R::ENABLED {
-                        rec.record(Event::Scale { tick: epoch, active });
-                    }
-                    scale_events.push(ScaleEvent { tick: epoch, active });
+                }
+                if active != before {
+                    let event = Event::Scale { tick: epoch, active };
+                    decide(rec, &mut decisions.scale_events, event);
                 }
                 next_epoch = Some(epoch + scale.interval_ticks);
                 continue;
@@ -652,7 +637,7 @@ impl Cluster {
             }
             let (t, i) = match (next_retry, next_arrival) {
                 (Some((rt, _, ri)), at) if at.is_none_or(|at| rt <= at) => {
-                    retry_heap.pop();
+                    decisions.retry_heap.pop();
                     (rt, ri)
                 }
                 _ => {
@@ -670,36 +655,10 @@ impl Cluster {
             let request = &trace[i];
 
             // Failover's last resort: with every routable-and-active shard down, the
-            // submission re-enters the retry path, and sheds `ShardUnavailable` (shard 0 by
-            // convention — there is no shard to cite) once its budget is spent.
+            // submission re-enters the retry path.
             let live = (0..active).filter(|&s| up[s]).count();
             if live == 0 {
-                attempts[i] += 1;
-                let attempt = attempts[i];
-                if attempt <= faults.retry.max_retries {
-                    let retry_tick = t + faults.retry.backoff_ticks(attempt);
-                    retry_heap.push(Reverse((retry_tick, retry_seq, i)));
-                    retry_seq += 1;
-                    let event = RetryEvent {
-                        request: request.id,
-                        failed_tick: t,
-                        retry_tick,
-                        shard: None,
-                        attempt,
-                    };
-                    if R::ENABLED {
-                        rec.record(event.to_event());
-                    }
-                    retries.push(event);
-                } else {
-                    let reason = ShedReason::ShardUnavailable;
-                    let event = ShedEvent { request: request.id, tick: t, shard: 0, reason };
-                    if R::ENABLED {
-                        rec.record(event.to_event());
-                    }
-                    sheds.push(event);
-                    outcomes[i] = Some(RequestOutcome::Shed { tick: t, shard: 0, reason });
-                }
+                decisions.fail_over(rec, &faults.retry, i, request.id, t, None);
                 continue;
             }
 
@@ -711,16 +670,13 @@ impl Cluster {
                         (0..active).filter(|&s| up[s]).map(|s| clocks[s].backlog(t)).sum();
                     let level = ladder.level_for(pressure, live);
                     if level != current_level {
-                        let event = DegradeEvent {
+                        let event = Event::Degrade {
                             tick: t,
-                            from: current_level,
-                            to: level,
+                            from: current_level.label(),
+                            to: level.label(),
                             backlog: pressure,
                         };
-                        if R::ENABLED {
-                            rec.record(event.to_event());
-                        }
-                        degrades.push(event);
+                        decide(rec, &mut decisions.degrades, event);
                         current_level = level;
                     }
                     level
@@ -755,39 +711,25 @@ impl Cluster {
                     .expect("at least one live shard"),
             };
 
-            if level == DegradeLevel::Shed {
-                let reason = ShedReason::Overload;
-                let event = ShedEvent { request: request.id, tick: t, shard, reason };
-                if R::ENABLED {
-                    rec.record(event.to_event());
-                }
-                sheds.push(event);
-                outcomes[i] = Some(RequestOutcome::Shed { tick: t, shard, reason });
-                continue;
-            }
-            // The backlog at the admission decision doubles as the recorded queue depth.
+            // Admission control: the ladder's top rung, then the queue bound, then the
+            // deadline. The backlog at the decision doubles as the recorded queue depth.
             let depth = clocks[shard].backlog(t);
-            if depth >= self.config.queue_cap {
-                let reason = ShedReason::QueueFull;
-                let event = ShedEvent { request: request.id, tick: t, shard, reason };
-                if R::ENABLED {
-                    rec.record(event.to_event());
-                }
-                sheds.push(event);
-                outcomes[i] = Some(RequestOutcome::Shed { tick: t, shard, reason });
+            let shed = if level == DegradeLevel::Shed {
+                Some(ShedReason::Overload)
+            } else if depth >= self.config.queue_cap {
+                Some(ShedReason::QueueFull)
+            } else if self
+                .config
+                .deadline_ticks
+                .is_some_and(|deadline| clocks[shard].estimate_end(t, samples) > t + deadline)
+            {
+                Some(ShedReason::Deadline)
+            } else {
+                None
+            };
+            if let Some(reason) = shed {
+                decisions.shed(rec, i, request.id, t, shard, reason);
                 continue;
-            }
-            if let Some(deadline) = self.config.deadline_ticks {
-                if clocks[shard].estimate_end(t, samples) > t + deadline {
-                    let reason = ShedReason::Deadline;
-                    let event = ShedEvent { request: request.id, tick: t, shard, reason };
-                    if R::ENABLED {
-                        rec.record(event.to_event());
-                    }
-                    sheds.push(event);
-                    outcomes[i] = Some(RequestOutcome::Shed { tick: t, shard, reason });
-                    continue;
-                }
             }
             if R::ENABLED {
                 rec.record(Event::Admit {
@@ -810,53 +752,28 @@ impl Cluster {
                 effective_samples,
                 admitted_ticks,
             },
-            outcomes,
-            sheds,
-            scale_events,
-            retries,
-            degrades,
+            decisions,
             levels,
         }
     }
 
-    /// Plans a swap-free run without computing any responses: routing, admission, shedding,
-    /// scaling and complete tick timing. Usable with arbitrarily long traces (nothing
-    /// per-request but bookkeeping), which is what the large-trace stress benchmarks drive.
-    /// For a run with scheduled hot-swaps, use [`Cluster::plan_with_swaps`].
+    /// Plans a run without computing any responses: routing, admission, shedding, scaling,
+    /// failover and the degradation ladder, with complete tick timing. Batch timing prices
+    /// each batch at the version active at its service start, exactly as
+    /// [`Cluster::run_traced`] executes it, and the plan's `faults` trace records every
+    /// crash, recovery, slow window and checkpoint corruption the fault plan fires. No
+    /// replica is ever materialized, so the chaos grid can sweep fault schedules over
+    /// arbitrarily long traces. Untraced callers pass `&[]` and [`FaultPlan::none`] for a
+    /// swap-free, fault-free plan.
     ///
     /// # Panics
     ///
     /// Panics under [`RoutingPolicy::TwoTier`] — escalation decisions need real predictive
-    /// entropy, so the two-tier policy only supports [`Cluster::run`].
-    pub fn plan(&self, trace: &[InferRequest]) -> ClusterPlan {
-        self.plan_with_swaps(trace, &[])
-    }
-
-    /// [`Cluster::plan`] under a scheduled per-shard hot-swap schedule: batch timing prices
-    /// each batch at the version active at its service start, exactly as
-    /// [`Cluster::run_with_swaps`] executes it, so a swapped run's timing can be pre-planned
-    /// and cross-checked the same way a swap-free run's can.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Cluster::plan`], or when a swap targets a shard
-    /// out of range or a per-shard schedule is not sorted by `at_tick`.
-    pub fn plan_with_swaps(&self, trace: &[InferRequest], swaps: &[ShardSwap]) -> ClusterPlan {
-        self.plan_with_faults(trace, swaps, &FaultPlan::none())
-    }
-
-    /// [`Cluster::plan_with_swaps`] under a [`FaultPlan`]: crashes, recoveries, slow windows
-    /// and checkpoint corruptions fire at their exact ticks, failover retries and the
-    /// degradation ladder react, and the plan's `faults` trace records every one of them.
-    /// Still plan-only — no replica is ever materialized — so the chaos grid can sweep fault
-    /// schedules over arbitrarily long traces. Under [`FaultPlan::none`] this *is*
-    /// `plan_with_swaps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Cluster::plan_with_swaps`], or when the fault
-    /// plan fails validation ([`FaultPlan`] events unsorted, shard out of range, ladder
-    /// watermarks inverted, or a ladder on a non-Monte-Carlo cluster).
+    /// entropy, so the two-tier policy only supports [`Cluster::run_traced`] — when the trace
+    /// is not sorted by arrival tick, when a swap targets a shard out of range or a per-shard
+    /// schedule is not sorted by `at_tick`, or when the fault plan fails validation
+    /// ([`FaultPlan`] events unsorted, shard out of range, ladder watermarks inverted, or a
+    /// ladder on a non-Monte-Carlo cluster).
     pub fn plan_with_faults(
         &self,
         trace: &[InferRequest],
@@ -865,7 +782,7 @@ impl Cluster {
     ) -> ClusterPlan {
         assert!(
             !matches!(self.config.routing, RoutingPolicy::TwoTier { .. }),
-            "two-tier escalation needs real entropies; use Cluster::run"
+            "two-tier escalation needs real entropies; use Cluster::run_traced"
         );
         self.plan_traced(trace, swaps, faults, &mut NullRecorder).0
     }
@@ -887,14 +804,13 @@ impl Cluster {
             self.config.mode,
         );
         let mut grouped = self.swaps_by_shard(swaps);
-        let checkpoint_faults = timeline.cancel_corrupted_swaps(&mut grouped);
-        if R::ENABLED {
-            for fault in &checkpoint_faults {
-                rec.record(fault.to_event());
-            }
+        let mut checkpoint_faults = Vec::new();
+        for event in timeline.cancel_corrupted_swaps(&mut grouped) {
+            decide(rec, &mut checkpoint_faults, event);
         }
-        let Routing { work, mut outcomes, sheds, scale_events, retries, degrades, levels } =
+        let Routing { work, decisions, levels } =
             self.route(trace, grouped, faults, &timeline, rec);
+        let Decisions { mut outcomes, sheds, scale_events, retries, degrades, .. } = decisions;
         for (shard, i, end_tick) in work.completions() {
             outcomes[i] = Some(RequestOutcome::Answered {
                 shard,
@@ -923,63 +839,30 @@ impl Cluster {
         (plan, work)
     }
 
-    /// Serves a trace through the cluster: plan (phase A), then answer every admitted
-    /// request on its shard's own engine (phase B), escalating high-entropy two-tier
-    /// answers to the high shard.
+    /// Serves a trace through the cluster: the same phase-A decisions as
+    /// [`Cluster::plan_with_faults`], then real answers for every finally-admitted request on
+    /// its shard's own engine, which executes exactly the batches the plan timed, escalating
+    /// high-entropy two-tier answers to the high shard. Each shard's engine answers its
+    /// sub-trace under its own swap schedule, with the same deterministic
+    /// version-at-service-start boundary as [`InferenceEngine::run_traced`]. An evicted
+    /// request is in none of a shard's batches (the crash took it out of the open batch
+    /// before dispatch), and requests the degradation ladder downgraded to the analytic
+    /// backend are answered by the engine's moment sentinel (`samples == 0`).
+    ///
+    /// Every routing decision, batch transition, fault reaction and final answer is recorded
+    /// as a tick-stamped [`Event`], keyed by request id. The recorder is written to and never
+    /// read, so the returned report — responses, outcomes, timing, digests — is
+    /// byte-identical to an untraced run's (`&mut NullRecorder`) at any worker or shard
+    /// count. Recorded streams attribute 100% of every answered request's end-to-end latency
+    /// to named stages via [`bnn_obs::assemble_traces`].
     ///
     /// # Panics
     ///
     /// Panics when the trace is not sorted by arrival tick, a request's input shape
-    /// mismatches the source, or a request asks for zero samples.
-    pub fn run(&self, trace: &[InferRequest]) -> ClusterRunReport {
-        self.run_with_swaps(trace, &[])
-    }
-
-    /// [`Cluster::run`] with scheduled per-shard hot-swaps: each shard's engine answers its
-    /// sub-trace under its own swap schedule, with the same deterministic
-    /// version-at-service-start boundary as [`InferenceEngine::run_with_swaps`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Cluster::run`], or when a swap targets a shard
-    /// out of range or a per-shard schedule is not sorted by `at_tick`.
-    pub fn run_with_swaps(&self, trace: &[InferRequest], swaps: &[ShardSwap]) -> ClusterRunReport {
-        self.run_with_faults(trace, swaps, &FaultPlan::none())
-    }
-
-    /// [`Cluster::run_with_swaps`] under a [`FaultPlan`] — the executed twin of
-    /// [`Cluster::plan_with_faults`]: the same phase-A decisions, then real answers for
-    /// every finally-admitted request on its shard's own engine, which executes exactly the
-    /// batches the plan timed. An evicted request is in none of a shard's batches (the crash
-    /// took it out of the open batch before dispatch), and requests the degradation ladder
-    /// downgraded to the analytic backend are answered by the engine's moment sentinel
-    /// (`samples == 0`). Under [`FaultPlan::none`] this *is* `run_with_swaps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Cluster::run_with_swaps`] and
-    /// [`Cluster::plan_with_faults`], or when a non-empty fault plan is combined with
-    /// [`RoutingPolicy::TwoTier`] (escalation across crashing shards is not modelled).
-    pub fn run_with_faults(
-        &self,
-        trace: &[InferRequest],
-        swaps: &[ShardSwap],
-        faults: &FaultPlan,
-    ) -> ClusterRunReport {
-        self.run_traced(trace, swaps, faults, &mut NullRecorder)
-    }
-
-    /// [`Cluster::run_with_faults`] with structured tracing: every routing decision, batch
-    /// transition, fault reaction and final answer is recorded as a tick-stamped
-    /// [`Event`], keyed by request id. The recorder is written to and never read, so the
-    /// returned report — responses, outcomes, timing, digests — is byte-identical to the
-    /// untraced run's at any worker or shard count (the obs benchmark asserts this on every
-    /// record it commits). Recorded streams attribute 100% of every answered request's
-    /// end-to-end latency to named stages via [`bnn_obs::assemble_traces`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Cluster::run_with_faults`].
+    /// mismatches the source, or a request asks for zero samples; under the swap and
+    /// fault-plan conditions of [`Cluster::plan_with_faults`]; or when a non-empty fault plan
+    /// is combined with [`RoutingPolicy::TwoTier`] (escalation across crashing shards is not
+    /// modelled).
     pub fn run_traced<R: Recorder>(
         &self,
         trace: &[InferRequest],
@@ -1033,7 +916,7 @@ impl Cluster {
 
         // Two-tier escalation: low-pass answers whose entropy crosses the threshold re-enter
         // at the high shard, arriving at their low-pass completion tick.
-        let mut escalations: Vec<EscalationEvent> = Vec::new();
+        let mut escalations: Vec<Event> = Vec::new();
         if let RoutingPolicy::TwoTier { high_samples, entropy_threshold, .. } = self.config.routing
         {
             let high = self.config.shards - 1;
@@ -1068,11 +951,8 @@ impl Cluster {
                     high_clock.estimate_end(tick, high_samples) > tick + deadline
                 });
                 let admit = !full && !late;
-                let event = EscalationEvent { request: trace[i].id, tick, admitted: admit };
-                if R::ENABLED {
-                    rec.record(event.to_event());
-                }
-                escalations.push(event);
+                let event = Event::Escalation { request: trace[i].id, tick, admitted: admit };
+                decide(rec, &mut escalations, event);
                 if admit {
                     high_clock.admit(i, high_samples, tick);
                     let mut request = trace[i].clone();
@@ -1160,12 +1040,12 @@ pub struct ClusterRunReport {
     /// Answered-request latencies (carried answer's completion − arrival), in trace order
     /// of the answered requests.
     pub latencies: Vec<u64>,
-    /// Every shed decision, in decision order.
-    pub sheds: Vec<ShedEvent>,
-    /// Every two-tier escalation decision, in decision order.
-    pub escalations: Vec<EscalationEvent>,
-    /// Every autoscaling decision, in epoch order.
-    pub scale_events: Vec<ScaleEvent>,
+    /// Every shed decision ([`Event::Shed`]), in decision order.
+    pub sheds: Vec<Event>,
+    /// Every two-tier escalation decision ([`Event::Escalation`]), in decision order.
+    pub escalations: Vec<Event>,
+    /// Every autoscaling decision ([`Event::Scale`]), in epoch order.
+    pub scale_events: Vec<Event>,
     /// One engine report per shard (the high shard's holds the escalation sub-trace).
     pub shard_reports: Vec<ServeRunReport>,
     /// Tick the last batch on any shard completed at (0 for an empty run).
@@ -1244,22 +1124,14 @@ impl ClusterRunReport {
         fnv1a_hex(self.responses_json().bytes())
     }
 
-    /// The decision events in the observability vocabulary, family by family in report
-    /// order — the one stream both serializations below go through.
-    fn decision_events(&self) -> Vec<Event> {
-        self.sheds
-            .iter()
-            .map(ShedEvent::to_event)
-            .chain(self.escalations.iter().map(EscalationEvent::to_event))
-            .chain(self.scale_events.iter().map(ScaleEvent::to_event))
-            .collect()
-    }
-
     /// The canonical decision bytes: every shed, escalation and scaling event with its exact
     /// tick, serialized through the observability exporter ([`export::decision_events_json`]
     /// — the single emission code path). The committed cluster baseline pins this digest.
     pub fn events_json(&self) -> String {
-        export::decision_events_json(&self.decision_events()).to_compact()
+        export::decision_events_json(
+            self.sheds.iter().chain(&self.escalations).chain(&self.scale_events),
+        )
+        .to_compact()
     }
 
     /// FNV-1a digest of [`events_json`](Self::events_json), 16 hex characters.
@@ -1321,26 +1193,14 @@ impl ClusterRunReport {
                     ("moment", Json::UInt(self.degrade_occupancy().2 as u64)),
                 ]),
             ),
-            (
-                "sheds",
-                Json::Array(
-                    self.sheds.iter().map(|e| export::event_payload(&e.to_event())).collect(),
-                ),
-            ),
+            ("sheds", Json::Array(self.sheds.iter().map(export::event_payload).collect())),
             (
                 "escalations",
-                Json::Array(
-                    self.escalations.iter().map(|e| export::event_payload(&e.to_event())).collect(),
-                ),
+                Json::Array(self.escalations.iter().map(export::event_payload).collect()),
             ),
             (
                 "scale_events",
-                Json::Array(
-                    self.scale_events
-                        .iter()
-                        .map(|e| export::event_payload(&e.to_event()))
-                        .collect(),
-                ),
+                Json::Array(self.scale_events.iter().map(export::event_payload).collect()),
             ),
             ("faults", self.faults.to_json()),
             (
@@ -1390,11 +1250,26 @@ mod tests {
         WorkloadSpec::uniform(requests, interarrival, 2, 33).generate(&spec())
     }
 
+    /// An untraced run under `faults` with a per-shard swap schedule.
+    fn run_faulted(
+        cluster: &Cluster,
+        trace: &[InferRequest],
+        swaps: &[ShardSwap],
+        faults: &FaultPlan,
+    ) -> ClusterRunReport {
+        cluster.run_traced(trace, swaps, faults, &mut NullRecorder)
+    }
+
+    /// An untraced, swap-free, fault-free run.
+    fn run(cluster: &Cluster, trace: &[InferRequest]) -> ClusterRunReport {
+        run_faulted(cluster, trace, &[], &FaultPlan::none())
+    }
+
     #[test]
     fn every_request_has_exactly_one_outcome() {
         let cluster = Cluster::new(config(3, RoutingPolicy::LeastLoaded));
         let trace = trace(48, 1);
-        let report = cluster.run(&trace);
+        let report = run(&cluster, &trace);
         assert_eq!(report.outcomes.len(), 48);
         assert_eq!(report.answered() + report.sheds.len(), report.submitted());
         for (i, outcome) in report.outcomes.iter().enumerate() {
@@ -1416,7 +1291,7 @@ mod tests {
     fn round_robin_spreads_and_least_loaded_balances() {
         let trace = trace(32, 2);
         for routing in [RoutingPolicy::RoundRobin, RoutingPolicy::LeastLoaded] {
-            let report = Cluster::new(config(4, routing)).run(&trace);
+            let report = run(&Cluster::new(config(4, routing)), &trace);
             let served: Vec<usize> =
                 report.shard_reports.iter().map(|r| r.responses.len()).collect();
             assert!(served.iter().all(|&n| n > 0), "{}: idle shard {served:?}", routing.label());
@@ -1430,12 +1305,13 @@ mod tests {
             .generate(&spec());
         let mut cfg = config(2, RoutingPolicy::LeastLoaded);
         cfg.queue_cap = 4;
-        let report = Cluster::new(cfg).run(&spikes);
+        let report = run(&Cluster::new(cfg), &spikes);
         assert!(!report.sheds.is_empty(), "a 32-request spike must overflow cap-4 queues");
         assert!(report.shed_rate() > 0.0);
         for event in &report.sheds {
-            assert_eq!(event.reason, ShedReason::QueueFull);
-            assert_eq!(event.tick, spikes[event.request as usize].arrival_tick);
+            let Event::Shed { request, tick, reason, .. } = *event else { panic!("{event:?}") };
+            assert_eq!(reason, ShedReason::QueueFull.label());
+            assert_eq!(tick, spikes[request as usize].arrival_tick);
         }
     }
 
@@ -1445,9 +1321,9 @@ mod tests {
         cfg.deadline_ticks = Some(70); // one batch overhead (64) + a couple of service ticks
         cfg.queue_cap = 1000;
         let dense = trace(32, 1);
-        let report = Cluster::new(cfg).run(&dense);
+        let report = run(&Cluster::new(cfg), &dense);
         assert!(
-            report.sheds.iter().any(|s| s.reason == ShedReason::Deadline),
+            report.sheds.iter().any(|s| matches!(s, Event::Shed { reason: "deadline", .. })),
             "a deadline barely above the batch overhead must shed queued requests"
         );
         // Every answered request a deadline shed would have displaced still completed.
@@ -1465,7 +1341,7 @@ mod tests {
             ..config(3, RoutingPolicy::LeastLoaded)
         };
         let trace = trace(24, 4);
-        let report = Cluster::new(cfg).run(&trace);
+        let report = run(&Cluster::new(cfg), &trace);
         assert_eq!(report.escalations.len(), report.answered());
         for outcome in &report.outcomes {
             if let RequestOutcome::Answered { escalated, upgraded, shard, .. } = outcome {
@@ -1499,7 +1375,7 @@ mod tests {
             },
             ..config(2, RoutingPolicy::LeastLoaded)
         };
-        let report = Cluster::new(cfg).run(&trace(16, 4));
+        let report = run(&Cluster::new(cfg), &trace(16, 4));
         assert!(report.escalations.is_empty());
         assert_eq!(report.escalation_rate(), 0.0);
         assert!(report.shard_reports[1].responses.is_empty(), "high shard stays idle");
@@ -1521,14 +1397,20 @@ mod tests {
         for request in trace.iter_mut().skip(40) {
             request.arrival_tick += 4000;
         }
-        let report = Cluster::new(cfg).run(&trace);
+        let report = run(&Cluster::new(cfg), &trace);
         assert!(!report.scale_events.is_empty(), "the burst must trigger scaling");
-        for event in &report.scale_events {
-            assert_eq!(event.tick % 32, 0, "scale decisions land on epoch ticks only");
-            assert!(event.active >= 1 && event.active <= 4);
-        }
-        let peak = report.scale_events.iter().map(|e| e.active).max().unwrap();
-        let last = report.scale_events.last().unwrap().active;
+        let actives: Vec<usize> = report
+            .scale_events
+            .iter()
+            .map(|event| {
+                let Event::Scale { tick, active } = *event else { panic!("{event:?}") };
+                assert_eq!(tick % 32, 0, "scale decisions land on epoch ticks only");
+                assert!((1..=4).contains(&active));
+                active
+            })
+            .collect();
+        let peak = *actives.iter().max().unwrap();
+        let last = *actives.last().unwrap();
         assert!(peak > 1, "the burst must activate extra shards");
         assert!(last < peak, "the quiet tail must drain them");
     }
@@ -1550,8 +1432,8 @@ mod tests {
         for request in relabeled.iter_mut() {
             request.id = 10_000 + request.id * 7;
         }
-        let baseline = Cluster::new(cfg()).run(&indexed);
-        let report = Cluster::new(cfg()).run(&relabeled);
+        let baseline = run(&Cluster::new(cfg()), &indexed);
+        let report = run(&Cluster::new(cfg()), &relabeled);
         assert_eq!(report.outcomes, baseline.outcomes);
         assert_eq!(report.latencies, baseline.latencies);
         // Answers match payload-for-payload; only the echoed caller id may differ.
@@ -1568,27 +1450,39 @@ mod tests {
             }
         }
         for (event, twin) in report.escalations.iter().zip(&baseline.escalations) {
-            assert_eq!(event.request, 10_000 + twin.request * 7);
-            assert_eq!((event.tick, event.admitted), (twin.tick, twin.admitted));
+            let (
+                &Event::Escalation { request, tick, admitted },
+                &Event::Escalation {
+                    request: twin_request,
+                    tick: twin_tick,
+                    admitted: twin_admitted,
+                },
+            ) = (event, twin)
+            else {
+                panic!("escalation lists hold escalations only: {event:?} / {twin:?}");
+            };
+            assert_eq!(request, 10_000 + twin_request * 7);
+            assert_eq!((tick, admitted), (twin_tick, twin_admitted));
         }
     }
 
     #[test]
-    fn plan_with_swaps_matches_swapped_run_timing() {
+    fn swapped_plan_matches_swapped_run_timing() {
         let cluster = Cluster::new(config(2, RoutingPolicy::LeastLoaded));
         let trace = trace(32, 2);
         let swaps = vec![ShardSwap {
             shard: 1,
             swap: VersionSwap { at_tick: 80, source: ModelSource::Spec(ModelSpec::mlp(77)) },
         }];
-        let plan = cluster.plan_with_swaps(&trace, &swaps);
-        let report = cluster.run_with_swaps(&trace, &swaps);
+        let none = FaultPlan::none();
+        let plan = cluster.plan_with_faults(&trace, &swaps, &none);
+        let report = cluster.run_traced(&trace, &swaps, &none, &mut NullRecorder);
         assert_eq!(plan.outcomes, report.outcomes);
         assert_eq!(plan.sheds, report.sheds);
         assert_eq!(plan.latencies, report.latencies);
         assert_eq!(plan.makespan_ticks, report.makespan_ticks);
         // The swap engaged: the swapped shard served batches on both sides of the boundary
-        // (run_with_swaps cross-checks the plan's per-batch version against the engine's).
+        // (the run cross-checks the plan's per-batch version against the engine's).
         let versions: Vec<usize> =
             report.shard_reports[1].batches.iter().map(|b| b.version).collect();
         assert!(versions.contains(&0) && versions.contains(&1), "swap never engaged: {versions:?}");
@@ -1598,8 +1492,8 @@ mod tests {
     fn plan_matches_run_timing_without_computing_responses() {
         let cluster = Cluster::new(config(3, RoutingPolicy::RoundRobin));
         let trace = trace(40, 2);
-        let plan = cluster.plan(&trace);
-        let report = cluster.run(&trace);
+        let plan = cluster.plan_with_faults(&trace, &[], &FaultPlan::none());
+        let report = run(&cluster, &trace);
         assert_eq!(plan.outcomes, report.outcomes);
         assert_eq!(plan.sheds, report.sheds);
         assert_eq!(plan.latencies, report.latencies);
@@ -1614,8 +1508,8 @@ mod tests {
     fn fault_plan_none_is_byte_identical_to_a_plain_run() {
         let cluster = Cluster::new(config(2, RoutingPolicy::LeastLoaded));
         let trace = trace(24, 2);
-        let plain = cluster.run(&trace);
-        let faulted = cluster.run_with_faults(&trace, &[], &FaultPlan::none());
+        let plain = run(&cluster, &trace);
+        let faulted = run_faulted(&cluster, &trace, &[], &FaultPlan::none());
         assert_eq!(plain.to_json().to_compact(), faulted.to_json().to_compact());
         assert_eq!(plain.events_digest(), faulted.events_digest());
         assert!(faulted.faults.retries.is_empty());
@@ -1636,27 +1530,28 @@ mod tests {
             FaultEvent::ShardUp { tick: 400, shard: 0 },
         ]);
         let plan = cluster.plan_with_faults(&trace, &[], &faults);
-        let report = cluster.run_with_faults(&trace, &[], &faults);
+        let report = run_faulted(&cluster, &trace, &[], &faults);
         assert_eq!(report.answered() + report.sheds.len(), report.submitted());
         assert_eq!(plan.outcomes, report.outcomes);
         assert_eq!(plan.latencies, report.latencies);
         assert_eq!(plan.makespan_ticks, report.makespan_ticks);
         assert_eq!(plan.faults, report.faults);
         assert!(!report.faults.retries.is_empty(), "the crash must evict an open batch");
-        for retry in &report.faults.retries {
-            assert_eq!(retry.failed_tick, 20);
-            assert_eq!(retry.shard, Some(0));
+        for event in &report.faults.retries {
+            let Event::Retry { request, failed_tick, retry_tick, shard, attempt } = *event else {
+                panic!("{event:?}")
+            };
+            assert_eq!(failed_tick, 20);
+            assert_eq!(shard, Some(0));
             assert_eq!(
-                retry.retry_tick,
-                20 + faults.retry.backoff_ticks(retry.attempt),
+                retry_tick,
+                20 + faults.retry.backoff_ticks(attempt),
                 "backoff is exact in the tick domain"
             );
-        }
-        // A retried request that was answered completed at or after its retry tick.
-        for retry in &report.faults.retries {
-            let i = trace.iter().position(|r| r.id == retry.request).unwrap();
+            // A retried request that was answered completed at or after its retry tick.
+            let i = trace.iter().position(|r| r.id == request).unwrap();
             if let RequestOutcome::Answered { end_tick, .. } = report.outcomes[i] {
-                assert!(end_tick >= retry.retry_tick, "no answer before the failover retry");
+                assert!(end_tick >= retry_tick, "no answer before the failover retry");
             }
         }
         assert!(report.availability() == 1.0, "with capacity to spare, nothing is lost");
@@ -1678,13 +1573,14 @@ mod tests {
             max_backoff_ticks: 64,
             max_retries: 0,
         });
-        let report = cluster.run_with_faults(&trace, &[], &faults);
+        let report = run_faulted(&cluster, &trace, &[], &faults);
         assert_eq!(report.answered(), 0);
         assert_eq!(report.sheds.len(), 8);
         for (shed, request) in report.sheds.iter().zip(&trace) {
-            assert_eq!(shed.reason, ShedReason::ShardUnavailable);
-            assert_eq!(shed.tick, request.arrival_tick);
-            assert_eq!(shed.shard, 0, "no shard to cite: 0 by convention");
+            let Event::Shed { tick, shard, reason, .. } = *shed else { panic!("{shed:?}") };
+            assert_eq!(reason, ShedReason::ShardUnavailable.label());
+            assert_eq!(tick, request.arrival_tick);
+            assert_eq!(shard, 0, "no shard to cite: 0 by convention");
         }
         assert_eq!(report.availability(), 0.0);
     }
@@ -1700,8 +1596,8 @@ mod tests {
             until_tick: u64::MAX,
             multiplier: 6,
         }]);
-        let healthy = cluster.run(&trace);
-        let report = cluster.run_with_faults(&trace, &[], &faults);
+        let healthy = run(&cluster, &trace);
+        let report = run_faulted(&cluster, &trace, &[], &faults);
         assert!(report.makespan_ticks > healthy.makespan_ticks);
         for batch in &report.shard_reports[1].batches {
             assert_eq!((batch.end_tick - batch.start_tick) % 6, 0, "shard 1 runs 6x slow");
@@ -1714,7 +1610,10 @@ mod tests {
         );
         assert!(!report.sheds.is_empty());
         assert!(
-            report.sheds.iter().all(|s| s.shard == 0 && s.reason == ShedReason::QueueFull),
+            report
+                .sheds
+                .iter()
+                .all(|s| matches!(s, Event::Shed { shard: 0, reason: "queue_full", .. })),
             "diverted overflow lands on the healthy shard's bounded queue"
         );
         assert_eq!(report.answered() + report.sheds.len(), report.submitted());
@@ -1735,8 +1634,8 @@ mod tests {
             moment_watermark: 5,
             shed_watermark: 64,
         };
-        let without = cluster.run_with_faults(&dense, &[], &FaultPlan::none());
-        let with = cluster.run_with_faults(&dense, &[], &FaultPlan::none().with_ladder(ladder));
+        let without = run_faulted(&cluster, &dense, &[], &FaultPlan::none());
+        let with = run_faulted(&cluster, &dense, &[], &FaultPlan::none().with_ladder(ladder));
         assert!(!with.faults.degrades.is_empty(), "pressure must move the ladder");
         let (normal, reduced, moment) = with.degrade_occupancy();
         assert!(reduced + moment > 0, "some requests must serve degraded");
@@ -1755,8 +1654,7 @@ mod tests {
         }
         // Transitions reconstruct the per-request levels: both serialize deterministically.
         assert_eq!(with.fault_events_digest(), {
-            let again =
-                cluster.run_with_faults(&dense, &[], &FaultPlan::none().with_ladder(ladder));
+            let again = run_faulted(&cluster, &dense, &[], &FaultPlan::none().with_ladder(ladder));
             again.fault_events_digest()
         });
     }
@@ -1774,9 +1672,9 @@ mod tests {
             moment_watermark: 2,
             shed_watermark: 3,
         };
-        let report = cluster.run_with_faults(&dense, &[], &FaultPlan::none().with_ladder(ladder));
+        let report = run_faulted(&cluster, &dense, &[], &FaultPlan::none().with_ladder(ladder));
         assert!(
-            report.sheds.iter().any(|s| s.reason == ShedReason::Overload),
+            report.sheds.iter().any(|s| matches!(s, Event::Shed { reason: "overload", .. })),
             "a shed watermark this low must trip the top rung"
         );
         assert_eq!(report.answered() + report.sheds.len(), report.submitted());
@@ -1792,11 +1690,11 @@ mod tests {
             swap: VersionSwap { at_tick: 80, source: ModelSource::Spec(ModelSpec::mlp(77)) },
         }];
         let faults = FaultPlan::new(vec![FaultEvent::CorruptCheckpoint { tick: 80, shard: 1 }]);
-        let swapped = cluster.run_with_swaps(&trace, &swaps);
-        let report = cluster.run_with_faults(&trace, &swaps, &faults);
+        let swapped = run_faulted(&cluster, &trace, &swaps, &FaultPlan::none());
+        let report = run_faulted(&cluster, &trace, &swaps, &faults);
         assert_eq!(
             report.faults.checkpoint_faults,
-            vec![crate::faults::CheckpointFaultEvent { tick: 80, shard: 1, cancelled_swaps: 1 }]
+            vec![Event::CheckpointFault { tick: 80, shard: 1, cancelled_swaps: 1 }]
         );
         assert!(
             report.shard_reports[1].batches.iter().all(|b| b.version == 0),
@@ -1808,7 +1706,7 @@ mod tests {
             "the cancelled swap visibly changes post-boundary answers"
         );
         // And the same run without the corruption matches a swap-free run byte for byte.
-        let unswapped = cluster.run(&trace);
+        let unswapped = run(&cluster, &trace);
         assert_eq!(unswapped.responses_digest(), report.responses_digest());
     }
 
@@ -1831,7 +1729,7 @@ mod tests {
         for workers in [1, 4] {
             let mut cfg = config(2, RoutingPolicy::LeastLoaded);
             cfg.workers_per_shard = workers;
-            reports.push(Cluster::new(cfg).run_with_faults(&trace, &[], &faults));
+            reports.push(run_faulted(&Cluster::new(cfg), &trace, &[], &faults));
         }
         assert_eq!(reports[0].to_json().to_compact(), reports[1].to_json().to_compact());
         assert_eq!(reports[0].fault_events_digest(), reports[1].fault_events_digest());
@@ -1840,7 +1738,7 @@ mod tests {
 
     #[test]
     fn empty_trace_yields_an_empty_report() {
-        let report = Cluster::new(config(2, RoutingPolicy::LeastLoaded)).run(&[]);
+        let report = run(&Cluster::new(config(2, RoutingPolicy::LeastLoaded)), &[]);
         assert_eq!(report.submitted(), 0);
         assert_eq!(report.makespan_ticks, 0);
         assert_eq!(report.shed_rate(), 0.0);
@@ -1852,8 +1750,8 @@ mod tests {
     fn reports_serialize_deterministically() {
         let cluster = Cluster::new(config(2, RoutingPolicy::LeastLoaded));
         let trace = trace(12, 2);
-        let a = cluster.run(&trace);
-        let b = cluster.run(&trace);
+        let a = run(&cluster, &trace);
+        let b = run(&cluster, &trace);
         assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
         assert_eq!(a.responses_digest(), b.responses_digest());
         assert_eq!(a.events_digest(), b.events_digest());

@@ -20,7 +20,7 @@
 //! the completion order — so 1-worker and N-worker runs, and batch-size-1 and coalesced runs,
 //! produce byte-identical responses. `tests/serve_determinism.rs` pins those equalities and
 //! `tests/hot_swap.rs` extends them across scheduled version swaps
-//! ([`InferenceEngine::run_with_swaps`]): versions change only at deterministic tick
+//! ([`InferenceEngine::run_traced`]): versions change only at deterministic tick
 //! boundaries, old versions drain, and no request is ever dropped.
 
 use crate::batcher::{BatchClock, BatchPolicy};
@@ -80,13 +80,13 @@ pub struct VersionSwap {
 /// ends runs slow end to end, mirroring how a thermal-throttled device finishes the work it
 /// started. Windows come from [`crate::faults::FaultEvent::SlowShard`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slowdown {
+pub(crate) struct Slowdown {
     /// First tick of the slow window (inclusive).
-    pub from_tick: u64,
+    pub(crate) from_tick: u64,
     /// End of the slow window (exclusive).
-    pub until_tick: u64,
+    pub(crate) until_tick: u64,
     /// Service-time multiplier (≥ 1).
-    pub multiplier: u64,
+    pub(crate) multiplier: u64,
 }
 
 /// The service-time multiplier in effect for a batch starting at `start_tick`: the maximum
@@ -201,7 +201,7 @@ impl ServeRunReport {
 }
 
 /// A batched inference engine over one frozen posterior (with optional scheduled hot-swaps
-/// to newer posterior versions — see [`InferenceEngine::run_with_swaps`]), serving under
+/// to newer posterior versions — see [`InferenceEngine::run_traced`]), serving under
 /// either backend of the [`ServeMode`] axis: `S`-sample Monte-Carlo or single-pass analytic
 /// moment propagation.
 #[derive(Debug, Clone)]
@@ -278,37 +278,30 @@ impl InferenceEngine {
     /// Panics when the trace is not sorted by arrival tick, a request's input shape does not
     /// match the model, or a request asks for zero samples.
     pub fn run(&self, requests: &[InferRequest]) -> ServeRunReport {
-        self.run_with_swaps(requests, &[])
+        self.run_traced(requests, &[], &mut NullRecorder)
     }
 
-    /// Serves a request trace with scheduled **hot-swaps**: batches that start service at or
-    /// after a swap's `at_tick` are answered by the swapped-in posterior; earlier batches
-    /// drain on the prior version. No request is dropped at a swap — the trace is answered
-    /// end to end, and the version boundary is a deterministic function of (trace, policy,
-    /// swap schedule), never of worker count or wall clock.
+    /// [`InferenceEngine::run`] with scheduled **hot-swaps** and structured tracing.
     ///
-    /// Every worker materializes a private replica of each version it actually serves
-    /// (lazily, at most once per version per worker), so responses stay byte-identical
-    /// across worker counts with any swap schedule.
+    /// Batches that start service at or after a swap's `at_tick` are answered by the
+    /// swapped-in posterior; earlier batches drain on the prior version. No request is
+    /// dropped at a swap — the trace is answered end to end, and the version boundary is a
+    /// deterministic function of (trace, policy, swap schedule), never of worker count or
+    /// wall clock. Every worker materializes a private replica of each version it actually
+    /// serves (lazily, at most once per version per worker), so responses stay
+    /// byte-identical across worker counts with any swap schedule.
+    ///
+    /// Each batch's close, dispatch and completion are recorded as tick-stamped [`Event`]s
+    /// keyed by the member requests' ids, plus one [`Event::BatchSeal`] per batch for
+    /// occupancy metrics. The recorder observes the exact same timing the report carries —
+    /// it never influences it — so responses, latencies and batch stats are byte-identical
+    /// to an untraced run (`&mut NullRecorder`; the obs benchmark asserts this equivalence
+    /// on every run).
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`InferenceEngine::run`], or when `swaps` is not
     /// sorted by `at_tick`.
-    pub fn run_with_swaps(
-        &self,
-        requests: &[InferRequest],
-        swaps: &[VersionSwap],
-    ) -> ServeRunReport {
-        self.run_traced(requests, swaps, &mut NullRecorder)
-    }
-
-    /// [`InferenceEngine::run_with_swaps`] with structured tracing: each batch's close,
-    /// dispatch and completion are recorded as tick-stamped [`Event`]s keyed by the member
-    /// requests' ids, plus one [`Event::BatchSeal`] per batch for occupancy metrics. The
-    /// recorder observes the exact same timing the report carries — it never influences it —
-    /// so responses, latencies and batch stats are byte-identical to an untraced run (the obs
-    /// benchmark asserts this equivalence on every run).
     pub fn run_traced<R: Recorder>(
         &self,
         requests: &[InferRequest],

@@ -4,7 +4,7 @@
 //!
 //! A [`FaultPlan`] schedules [`FaultEvent`]s at exact ticks and travels with a trace into
 //! [`Cluster::plan_with_faults`](crate::Cluster::plan_with_faults) /
-//! [`Cluster::run_with_faults`](crate::Cluster::run_with_faults). Everything the router does
+//! [`Cluster::run_traced`](crate::Cluster::run_traced). Everything the router does
 //! in response stays a pure function of (trace, config, swap schedule, fault plan), so a
 //! faulted run serializes byte-identically at any shard × worker count, exactly like a
 //! healthy one.
@@ -43,7 +43,7 @@
 //! 4. **Shed** — the last rung: admission sheds with
 //!    [`ShedReason::Overload`](crate::ShedReason).
 //!
-//! Every level change is recorded as a tick-stamped [`DegradeEvent`]. The ladder is a pure
+//! Every level change is recorded as a tick-stamped [`Event::Degrade`]. The ladder is a pure
 //! threshold function of instantaneous pressure (no hysteresis), so it is as deterministic
 //! as the admission control it extends.
 //!
@@ -51,8 +51,8 @@
 //!
 //! [`FaultEvent::CorruptCheckpoint`] models a published registry version that fails
 //! [`Checkpoint::from_bytes`] validation at activation time: the scheduled hot-swap at that
-//! (shard, tick) is cancelled, the shard keeps serving its prior version, and a typed
-//! [`CheckpointFaultEvent`] records the fallback — never a panic, never garbage served. The
+//! (shard, tick) is cancelled, the shard keeps serving its prior version, and an
+//! [`Event::CheckpointFault`] records the fallback — never a panic, never garbage served. The
 //! store-side mirror is `ModelRegistry::load_latest_valid`, which skips corrupt newest
 //! versions on disk the same way.
 //!
@@ -60,6 +60,7 @@
 
 use crate::engine::Slowdown;
 use crate::spec::ServeMode;
+use bnn_obs::Event;
 use shift_bnn::sweep::json::Json;
 
 /// One scheduled fault, pinned to an exact tick in the simulated clock.
@@ -98,7 +99,7 @@ pub enum FaultEvent {
     },
     /// The model version scheduled to hot-swap into `shard` at exactly `tick` fails
     /// checkpoint validation: the swap is cancelled, the shard keeps its prior version, and
-    /// a [`CheckpointFaultEvent`] records the fallback. A mark with no matching swap still
+    /// an [`Event::CheckpointFault`] records the fallback. A mark with no matching swap still
     /// records the (harmless) validation failure.
     CorruptCheckpoint {
         /// The `at_tick` of the swap that fails validation.
@@ -248,88 +249,6 @@ impl DegradeLevel {
     }
 }
 
-/// One ladder transition: the exact submission tick the level changed at, and the pressure
-/// that drove it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradeEvent {
-    /// The submission tick of the transition.
-    pub tick: u64,
-    /// The level before.
-    pub from: DegradeLevel,
-    /// The level after.
-    pub to: DegradeLevel,
-    /// The cluster-wide backlog (summed over live shards) that selected `to`.
-    pub backlog: usize,
-}
-
-impl DegradeEvent {
-    /// The event in the observability vocabulary — what the recorder stream carries and the
-    /// fault trace's serialization goes through.
-    pub fn to_event(&self) -> bnn_obs::Event {
-        bnn_obs::Event::Degrade {
-            tick: self.tick,
-            from: self.from.label(),
-            to: self.to.label(),
-            backlog: self.backlog,
-        }
-    }
-}
-
-/// One failover retry: a request evicted by a crash (or stranded with no live shard) and
-/// re-scheduled after its deterministic backoff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryEvent {
-    /// The retried request's id.
-    pub request: u64,
-    /// The tick the failure was observed at (the crash tick for evictions, the submission
-    /// tick when no shard was live).
-    pub failed_tick: u64,
-    /// The tick the request re-enters the router at (`failed + backoff(attempt)`).
-    pub retry_tick: u64,
-    /// The shard whose crash evicted the request; `None` when the failure was "no live
-    /// shard" rather than a specific crash.
-    pub shard: Option<usize>,
-    /// Which retry attempt this is (1-indexed).
-    pub attempt: u32,
-}
-
-impl RetryEvent {
-    /// The event in the observability vocabulary.
-    pub fn to_event(&self) -> bnn_obs::Event {
-        bnn_obs::Event::Retry {
-            request: self.request,
-            failed_tick: self.failed_tick,
-            retry_tick: self.retry_tick,
-            shard: self.shard,
-            attempt: self.attempt,
-        }
-    }
-}
-
-/// One checkpoint-corruption fallback: a hot-swap whose incoming version failed validation
-/// at activation, leaving the shard on its prior version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointFaultEvent {
-    /// The `at_tick` of the failed swap.
-    pub tick: u64,
-    /// The shard that kept its prior version.
-    pub shard: usize,
-    /// How many scheduled swaps at this (shard, tick) were cancelled (0 when the corrupt
-    /// version was never scheduled to activate).
-    pub cancelled_swaps: usize,
-}
-
-impl CheckpointFaultEvent {
-    /// The event in the observability vocabulary.
-    pub fn to_event(&self) -> bnn_obs::Event {
-        bnn_obs::Event::CheckpointFault {
-            tick: self.tick,
-            shard: self.shard,
-            cancelled_swaps: self.cancelled_swaps,
-        }
-    }
-}
-
 /// A complete fault schedule for one cluster run, plus the policies that govern the
 /// reaction: failover retry and (optionally) the degradation ladder.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -453,18 +372,18 @@ impl FaultTimeline {
     }
 
     /// Cancels every scheduled swap a corruption mark hits (the incoming version fails
-    /// validation, so the shard keeps its prior version), returning the typed fallback
-    /// events in mark order.
+    /// validation, so the shard keeps its prior version), returning one
+    /// [`Event::CheckpointFault`] per mark, in mark order.
     pub(crate) fn cancel_corrupted_swaps(
         &self,
         swaps: &mut [Vec<crate::engine::VersionSwap>],
-    ) -> Vec<CheckpointFaultEvent> {
+    ) -> Vec<Event> {
         self.corrupt
             .iter()
             .map(|&(tick, shard)| {
                 let before = swaps[shard].len();
                 swaps[shard].retain(|swap| swap.at_tick != tick);
-                CheckpointFaultEvent { tick, shard, cancelled_swaps: before - swaps[shard].len() }
+                Event::CheckpointFault { tick, shard, cancelled_swaps: before - swaps[shard].len() }
             })
             .collect()
     }
@@ -472,16 +391,17 @@ impl FaultTimeline {
 
 /// Everything a faulted run recorded beyond the healthy-run events: retries, ladder
 /// transitions, checkpoint fallbacks, and the level each request was finally served (or
-/// shed) at. Empty — and serialization-invisible in the digests that predate it — for a run
-/// under [`FaultPlan::none`].
+/// shed) at. Each decision list holds [`Event`]s of one variant — the values the recorder
+/// saw. Empty — and serialization-invisible in the digests that predate it — for a run under
+/// [`FaultPlan::none`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultTrace {
-    /// Every failover retry, in schedule order.
-    pub retries: Vec<RetryEvent>,
-    /// Every ladder transition, in tick order.
-    pub degrades: Vec<DegradeEvent>,
-    /// Every checkpoint-corruption fallback, in mark order.
-    pub checkpoint_faults: Vec<CheckpointFaultEvent>,
+    /// Every failover retry ([`Event::Retry`]), in schedule order.
+    pub retries: Vec<Event>,
+    /// Every ladder transition ([`Event::Degrade`]), in tick order.
+    pub degrades: Vec<Event>,
+    /// Every checkpoint-corruption fallback ([`Event::CheckpointFault`]), in mark order.
+    pub checkpoint_faults: Vec<Event>,
     /// Per submitted request, in trace order: the [`DegradeLevel`] applied at its final
     /// submission ([`DegradeLevel::Normal`] without a ladder).
     pub levels: Vec<DegradeLevel>,
@@ -494,14 +414,9 @@ impl FaultTrace {
     /// separate from [`ClusterRunReport::events_json`](crate::ClusterRunReport::events_json)
     /// so pre-existing committed digests stay valid.
     pub fn to_json(&self) -> Json {
-        let events: Vec<bnn_obs::Event> = self
-            .retries
-            .iter()
-            .map(RetryEvent::to_event)
-            .chain(self.degrades.iter().map(DegradeEvent::to_event))
-            .chain(self.checkpoint_faults.iter().map(CheckpointFaultEvent::to_event))
-            .collect();
-        bnn_obs::export::fault_events_json(&events)
+        bnn_obs::export::fault_events_json(
+            self.retries.iter().chain(&self.degrades).chain(&self.checkpoint_faults),
+        )
     }
 
     /// Counts of *answered* requests per serving level `(normal, reduced_samples, moment)`,
@@ -570,7 +485,10 @@ mod tests {
             vec![VersionSwap { at_tick: 100, source }],
         ];
         let events = timeline.cancel_corrupted_swaps(&mut swaps);
-        assert_eq!(events, vec![CheckpointFaultEvent { tick: 100, shard: 0, cancelled_swaps: 1 }]);
+        assert_eq!(
+            events,
+            vec![Event::CheckpointFault { tick: 100, shard: 0, cancelled_swaps: 1 }]
+        );
         assert_eq!(swaps[0].len(), 1, "only the matching swap is cancelled");
         assert_eq!(swaps[0][0].at_tick, 200);
         assert_eq!(swaps[1].len(), 1, "other shards keep their schedules");

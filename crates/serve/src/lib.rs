@@ -33,7 +33,13 @@
 //!   shard crashes/recoveries, slow devices and corrupt checkpoints at exact ticks; the
 //!   router reacts with tick-domain failover retries and a backlog-pressure degradation
 //!   ladder (full `S` → reduced `S` → single-pass moment → shed), and every reaction is a
-//!   typed, digest-pinned event.
+//!   tick-stamped, digest-pinned [`Event`].
+//!
+//! A trace runs through one of two entry points per layer: [`InferenceEngine::run`] /
+//! [`InferenceEngine::run_traced`] and [`Cluster::plan_with_faults`] /
+//! [`Cluster::run_traced`]. Untraced callers pass `&[]` swaps, [`FaultPlan::none`] and
+//! `&mut` [`NullRecorder`]; every decision the stack makes is a [`bnn_obs::Event`],
+//! re-exported here as [`Event`].
 //!
 //! # Example
 //!
@@ -64,16 +70,14 @@ pub mod stats;
 pub mod workload;
 
 pub use batcher::{plan_batches, BatchPlan, BatchPolicy};
+pub use bnn_obs::{Event, NullRecorder};
 pub use builder::EngineSpec;
 pub use cluster::{
-    AutoscalePolicy, Cluster, ClusterConfig, ClusterPlan, ClusterRunReport, EscalationEvent,
-    RequestOutcome, RoutingPolicy, ScaleEvent, ShardSwap, ShedEvent, ShedReason,
+    AutoscalePolicy, Cluster, ClusterConfig, ClusterPlan, ClusterRunReport, RequestOutcome,
+    RoutingPolicy, ShardSwap, ShedReason,
 };
-pub use engine::{InferenceEngine, ServeReplica, ServeRunReport, Slowdown, VersionSwap};
-pub use faults::{
-    CheckpointFaultEvent, DegradeEvent, DegradeLadder, DegradeLevel, FaultEvent, FaultPlan,
-    FaultTrace, RetryEvent, RetryPolicy,
-};
+pub use engine::{InferenceEngine, ServeReplica, ServeRunReport, VersionSwap};
+pub use faults::{DegradeLadder, DegradeLevel, FaultEvent, FaultPlan, FaultTrace, RetryPolicy};
 pub use request::{mix_seed, InferRequest, InferResponse};
 pub use spec::{CheckpointReplica, ModelSource, ModelSpec, ServeMode};
 pub use stats::latency_percentile;

@@ -1,7 +1,7 @@
 //! Admission-control invariants, property-tested across random cluster shapes and arrival
-//! patterns. Everything here runs on [`Cluster::plan`] — the phase-A simulator that makes
-//! every routing/admission decision without touching a network — so each case is cheap and
-//! the sampled space can be wide.
+//! patterns. Everything here runs on [`Cluster::plan_with_faults`] — the phase-A simulator
+//! that makes every routing/admission decision without touching a network — so each case is
+//! cheap and the sampled space can be wide.
 //!
 //! The invariants:
 //!
@@ -18,8 +18,9 @@
 use bnn_serve::engine::BATCH_OVERHEAD_TICKS;
 use bnn_serve::{
     plan_batches, ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, ClusterPlan, DegradeLadder,
-    EngineSpec, FaultEvent, FaultPlan, InferRequest, InferenceEngine, ModelSource, ModelSpec,
-    RequestOutcome, RetryPolicy, RoutingPolicy, ServeMode, ShardSwap, VersionSwap, WorkloadSpec,
+    EngineSpec, Event, FaultEvent, FaultPlan, InferRequest, InferenceEngine, ModelSource,
+    ModelSpec, NullRecorder, RequestOutcome, RetryPolicy, RoutingPolicy, ServeMode, ShardSwap,
+    VersionSwap, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -48,7 +49,7 @@ fn plan_with_policy(
         routing: RoutingPolicy::LeastLoaded,
         autoscale: None,
     });
-    let plan = cluster.plan(&trace);
+    let plan = cluster.plan_with_faults(&trace, &[], &FaultPlan::none());
     (trace, plan)
 }
 
@@ -94,7 +95,7 @@ proptest! {
             arrival_process(selector));
         prop_assert_eq!(plan.outcomes.len(), trace.len());
 
-        let shed_ids: Vec<u64> = plan.sheds.iter().map(|s| s.request).collect();
+        let shed_ids: Vec<u64> = plan.sheds.iter().filter_map(Event::request).collect();
         let mut answered = 0usize;
         for (request, outcome) in trace.iter().zip(&plan.outcomes) {
             match outcome {
@@ -289,7 +290,7 @@ proptest! {
             BatchPolicy { max_batch: 4, max_wait_ticks: 8 }, &faults,
         );
         prop_assert_eq!(plan.outcomes.len(), trace.len());
-        let shed_ids: Vec<u64> = plan.sheds.iter().map(|s| s.request).collect();
+        let shed_ids: Vec<u64> = plan.sheds.iter().filter_map(Event::request).collect();
         let mut answered = 0usize;
         for (request, outcome) in trace.iter().zip(&plan.outcomes) {
             match outcome {
@@ -348,18 +349,21 @@ proptest! {
             BatchPolicy { max_batch: 4, max_wait_ticks: 8 }, &faults,
         );
         for event in &plan.faults.retries {
+            let Event::Retry { request, failed_tick, retry_tick, attempt, .. } = *event else {
+                panic!("retry list holds a non-retry event: {event:?}");
+            };
             prop_assert_eq!(
-                event.retry_tick,
-                event.failed_tick + retry.backoff_ticks(event.attempt),
-                "retry of {} must fire exactly one backoff after the failure", event.request
+                retry_tick,
+                failed_tick + retry.backoff_ticks(attempt),
+                "retry of {} must fire exactly one backoff after the failure", request
             );
-            prop_assert!(event.attempt >= 1 && event.attempt <= budget);
-            let index = trace.iter().position(|r| r.id == event.request).unwrap();
+            prop_assert!(attempt >= 1 && attempt <= budget);
+            let index = trace.iter().position(|r| r.id == request).unwrap();
             if let RequestOutcome::Answered { end_tick, .. } = plan.outcomes[index] {
                 prop_assert!(
-                    end_tick >= event.retry_tick,
+                    end_tick >= retry_tick,
                     "request {} answered at {} before its retry at {}",
-                    event.request, end_tick, event.retry_tick
+                    request, end_tick, retry_tick
                 );
             }
         }
@@ -482,14 +486,16 @@ proptest! {
             .collect();
         let spec = EngineSpec::new(model).policy(policy);
 
-        let solo = InferenceEngine::build(spec.clone()).run_with_swaps(&trace, &swaps);
+        let solo =
+            InferenceEngine::build(spec.clone()).run_traced(&trace, &swaps, &mut NullRecorder);
         let cluster = Cluster::new(ClusterConfig::from_engine_spec(&spec, 1, trace.len()));
         let shard_swaps: Vec<ShardSwap> =
             swaps.into_iter().map(|swap| ShardSwap { shard: 0, swap }).collect();
-        let report = cluster.run_with_swaps(&trace, &shard_swaps);
+        let none = FaultPlan::none();
+        let report = cluster.run_traced(&trace, &shard_swaps, &none, &mut NullRecorder);
         prop_assert_eq!(&solo.batches, &report.shard_reports[0].batches);
 
-        let plan = cluster.plan_with_swaps(&trace, &shard_swaps);
+        let plan = cluster.plan_with_faults(&trace, &shard_swaps, &none);
         prop_assert_eq!(&plan.latencies, &solo.latencies);
         prop_assert_eq!(plan.makespan_ticks, solo.makespan_ticks);
 
@@ -522,7 +528,7 @@ fn executed_two_tier_run_conserves_requests() {
         routing: RoutingPolicy::TwoTier { low_samples: 1, high_samples: 6, entropy_threshold: 1.0 },
         autoscale: None,
     });
-    let report = cluster.run(&trace);
+    let report = cluster.run_traced(&trace, &[], &FaultPlan::none(), &mut NullRecorder);
     assert_eq!(report.answered() + report.sheds.len(), report.submitted());
     for (i, outcome) in report.outcomes.iter().enumerate() {
         match outcome {
@@ -532,8 +538,9 @@ fn executed_two_tier_run_conserves_requests() {
     }
     // Escalation is an upgrade path, never a second outcome: escalated requests stay answered.
     for event in &report.escalations {
+        let request = event.request().expect("escalations are request-scoped");
         assert!(matches!(
-            report.outcomes[event.request as usize],
+            report.outcomes[request as usize],
             RequestOutcome::Answered { escalated: true, .. }
         ));
     }

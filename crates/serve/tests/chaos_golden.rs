@@ -10,9 +10,9 @@
 //! scheduled hot-swaps, and a recovery that drains the backlog back to normal.
 
 use bnn_serve::{
-    ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, DegradeLadder, FaultEvent, FaultPlan,
-    InferRequest, ModelSource, ModelSpec, RetryPolicy, RoutingPolicy, ServeMode, ShardSwap,
-    VersionSwap, WorkloadSpec,
+    ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, DegradeLadder, Event, FaultEvent,
+    FaultPlan, InferRequest, ModelSource, ModelSpec, NullRecorder, RetryPolicy, RoutingPolicy,
+    ServeMode, ShardSwap, VersionSwap, WorkloadSpec,
 };
 
 const WEIGHT_SEED: u64 = 2021;
@@ -101,32 +101,30 @@ const GOLDEN_RESPONSES_DIGEST: &str = "43ba850c32cd9446";
 #[test]
 fn golden_chaos_events_land_on_pinned_ticks() {
     let (trace, cluster, swaps, faults) = chaos_scenario();
-    let report = cluster.run_with_faults(&trace, &swaps, &faults);
+    let report = cluster.run_traced(&trace, &swaps, &faults, &mut NullRecorder);
 
-    let retries = report
-        .faults
-        .retries
-        .iter()
-        .map(|r| {
-            let shard = r.shard.map(|s| s.to_string()).unwrap_or_else(|| "none".to_string());
-            format!("{}@{}>{}:{}({})", r.request, r.failed_tick, r.retry_tick, r.attempt, shard)
-        })
-        .collect::<Vec<_>>()
-        .join(" ");
-    let degrades = report
-        .faults
-        .degrades
-        .iter()
-        .map(|d| format!("{}:{}>{}@{}", d.tick, d.from.label(), d.to.label(), d.backlog))
-        .collect::<Vec<_>>()
-        .join(" ");
-    let checkpoint_faults = report
-        .faults
-        .checkpoint_faults
-        .iter()
-        .map(|c| format!("{}>{}:{}", c.tick, c.shard, c.cancelled_swaps))
-        .collect::<Vec<_>>()
-        .join(" ");
+    let golden = |events: &[Event]| {
+        events
+            .iter()
+            .map(|event| match *event {
+                Event::Retry { request, failed_tick, retry_tick, shard, attempt } => {
+                    let shard = shard.map_or_else(|| "none".to_string(), |s| s.to_string());
+                    format!("{request}@{failed_tick}>{retry_tick}:{attempt}({shard})")
+                }
+                Event::Degrade { tick, from, to, backlog } => {
+                    format!("{tick}:{from}>{to}@{backlog}")
+                }
+                Event::CheckpointFault { tick, shard, cancelled_swaps } => {
+                    format!("{tick}>{shard}:{cancelled_swaps}")
+                }
+                other => panic!("not a fault event: {other:?}"),
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let retries = golden(&report.faults.retries);
+    let degrades = golden(&report.faults.degrades);
+    let checkpoint_faults = golden(&report.faults.checkpoint_faults);
 
     assert!(!report.faults.retries.is_empty(), "the crash must evict an open batch");
     assert!(!report.faults.degrades.is_empty(), "the slow window must move the ladder");
@@ -149,7 +147,7 @@ fn golden_chaos_events_land_on_pinned_ticks() {
 fn golden_chaos_plan_matches_the_run_batch_for_batch() {
     let (trace, cluster, swaps, faults) = chaos_scenario();
     let plan = cluster.plan_with_faults(&trace, &swaps, &faults);
-    let report = cluster.run_with_faults(&trace, &swaps, &faults);
+    let report = cluster.run_traced(&trace, &swaps, &faults, &mut NullRecorder);
     assert_eq!(plan.outcomes, report.outcomes);
     assert_eq!(plan.latencies, report.latencies);
     assert_eq!(plan.makespan_ticks, report.makespan_ticks);
@@ -168,10 +166,10 @@ fn golden_chaos_plan_matches_the_run_batch_for_batch() {
 #[test]
 fn golden_chaos_scenario_is_worker_and_rerun_invariant() {
     let (trace, cluster, swaps, faults) = chaos_scenario();
-    let first = cluster.run_with_faults(&trace, &swaps, &faults);
+    let first = cluster.run_traced(&trace, &swaps, &faults, &mut NullRecorder);
     let mut pooled_cfg = cluster.config().clone();
     pooled_cfg.workers_per_shard = 3;
-    let second = Cluster::new(pooled_cfg).run_with_faults(&trace, &swaps, &faults);
+    let second = Cluster::new(pooled_cfg).run_traced(&trace, &swaps, &faults, &mut NullRecorder);
     assert_eq!(first.to_json().to_compact(), second.to_json().to_compact());
     assert_eq!(first.fault_events_digest(), second.fault_events_digest());
     assert_eq!(first.responses_digest(), second.responses_digest());

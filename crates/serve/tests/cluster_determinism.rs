@@ -14,8 +14,9 @@
 //!    arithmetic trips it.
 
 use bnn_serve::{
-    ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, EngineSpec, InferRequest, InferenceEngine,
-    ModelSource, ModelSpec, RequestOutcome, RoutingPolicy, ServeMode, WorkloadSpec,
+    ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, ClusterRunReport, EngineSpec, Event,
+    FaultPlan, InferRequest, InferenceEngine, ModelSource, ModelSpec, NullRecorder, RequestOutcome,
+    RoutingPolicy, ServeMode, WorkloadSpec,
 };
 
 const WEIGHT_SEED: u64 = 2021;
@@ -36,6 +37,11 @@ fn config(shards: usize, routing: RoutingPolicy) -> ClusterConfig {
         routing,
         autoscale: None,
     }
+}
+
+/// An untraced, swap-free, fault-free cluster run.
+fn run(cluster: &Cluster, trace: &[InferRequest]) -> ClusterRunReport {
+    cluster.run_traced(trace, &[], &FaultPlan::none(), &mut NullRecorder)
 }
 
 fn bursty_trace(requests: usize) -> Vec<InferRequest> {
@@ -61,8 +67,8 @@ fn reports_are_byte_identical_across_worker_counts() {
         single.workers_per_shard = 1;
         let mut pooled = config(3, routing);
         pooled.workers_per_shard = 4;
-        let a = Cluster::new(single).run(&trace);
-        let b = Cluster::new(pooled).run(&trace);
+        let a = run(&Cluster::new(single), &trace);
+        let b = run(&Cluster::new(pooled), &trace);
         assert_eq!(
             a.to_json().to_pretty(),
             b.to_json().to_pretty(),
@@ -78,8 +84,8 @@ fn reports_are_byte_identical_across_worker_counts() {
 fn repeated_runs_are_byte_identical() {
     let trace = bursty_trace(24);
     let cluster = Cluster::new(config(2, RoutingPolicy::LeastLoaded));
-    let a = cluster.run(&trace);
-    let b = cluster.run(&trace);
+    let a = run(&cluster, &trace);
+    let b = run(&cluster, &trace);
     assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
 }
 
@@ -107,7 +113,7 @@ fn admitted_sub_trace(
 fn each_shard_equals_a_standalone_engine_on_its_sub_trace() {
     let cfg = config(3, RoutingPolicy::LeastLoaded);
     let trace = bursty_trace(42);
-    let report = Cluster::new(cfg.clone()).run(&trace);
+    let report = run(&Cluster::new(cfg.clone()), &trace);
     assert!(report.answered() > 0);
 
     for shard in 0..cfg.shards {
@@ -130,7 +136,7 @@ fn each_shard_equals_a_standalone_engine_on_its_sub_trace() {
 fn each_shard_equals_a_standalone_single_shard_cluster() {
     let cfg = config(4, RoutingPolicy::RoundRobin);
     let trace = bursty_trace(40);
-    let report = Cluster::new(cfg.clone()).run(&trace);
+    let report = run(&Cluster::new(cfg.clone()), &trace);
 
     for shard in 0..cfg.shards {
         let sub_trace = admitted_sub_trace(&trace, &report.outcomes, shard);
@@ -138,7 +144,7 @@ fn each_shard_equals_a_standalone_single_shard_cluster() {
         // cluster over it sheds nothing and reproduces the same answers and ticks.
         let mut solo_cfg = cfg.clone();
         solo_cfg.shards = 1;
-        let solo = Cluster::new(solo_cfg).run(&sub_trace);
+        let solo = run(&Cluster::new(solo_cfg), &sub_trace);
         assert!(solo.sheds.is_empty(), "shard {shard}: replaying admitted requests cannot shed");
         assert_eq!(
             solo.shard_reports[0].to_json().to_pretty(),
@@ -152,7 +158,7 @@ fn each_shard_equals_a_standalone_single_shard_cluster() {
 fn single_shard_cluster_equals_the_bare_engine() {
     let cfg = ClusterConfig { queue_cap: 1_000, ..config(1, RoutingPolicy::LeastLoaded) };
     let trace = bursty_trace(30);
-    let report = Cluster::new(cfg.clone()).run(&trace);
+    let report = run(&Cluster::new(cfg.clone()), &trace);
     assert!(report.sheds.is_empty(), "an unbounded single shard admits everything");
     let engine = InferenceEngine::build(EngineSpec::new(cfg.source).policy(cfg.batch).workers(3));
     let solo = engine.run(&trace);
@@ -201,20 +207,25 @@ const GOLDEN_RESPONSES_DIGEST: &str = "e6cffdb989d73aba";
 #[test]
 fn golden_sheds_and_escalations_land_on_pinned_ticks() {
     let (trace, cluster) = golden_scenario();
-    let report = cluster.run(&trace);
+    let report = run(&cluster, &trace);
 
-    let sheds = report
-        .sheds
-        .iter()
-        .map(|s| format!("{}@{}>{}:{}", s.request, s.tick, s.shard, s.reason.label()))
-        .collect::<Vec<_>>()
-        .join(" ");
-    let escalations = report
-        .escalations
-        .iter()
-        .map(|e| format!("{}@{}:{}", e.request, e.tick, e.admitted))
-        .collect::<Vec<_>>()
-        .join(" ");
+    let golden = |events: &[Event]| {
+        events
+            .iter()
+            .map(|event| match *event {
+                Event::Shed { request, tick, shard, reason } => {
+                    format!("{request}@{tick}>{shard}:{reason}")
+                }
+                Event::Escalation { request, tick, admitted } => {
+                    format!("{request}@{tick}:{admitted}")
+                }
+                other => panic!("not a shed or escalation: {other:?}"),
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let sheds = golden(&report.sheds);
+    let escalations = golden(&report.escalations);
 
     assert!(!report.sheds.is_empty(), "the spikes must shed");
     assert!(!report.escalations.is_empty(), "the threshold must escalate");
@@ -227,10 +238,10 @@ fn golden_sheds_and_escalations_land_on_pinned_ticks() {
 #[test]
 fn golden_scenario_is_worker_and_rerun_invariant() {
     let (trace, cluster) = golden_scenario();
-    let first = cluster.run(&trace);
+    let first = run(&cluster, &trace);
     let mut pooled_cfg = cluster.config().clone();
     pooled_cfg.workers_per_shard = 3;
-    let second = Cluster::new(pooled_cfg).run(&trace);
+    let second = run(&Cluster::new(pooled_cfg), &trace);
     assert_eq!(first.events_digest(), second.events_digest());
     assert_eq!(first.responses_digest(), second.responses_digest());
 }

@@ -1,4 +1,4 @@
-//! Determinism contract of posterior **hot-swapping** ([`InferenceEngine::run_with_swaps`]):
+//! Determinism contract of posterior **hot-swapping** ([`InferenceEngine::run_traced`]):
 //!
 //! 1. no request is dropped — the swapped run answers the whole trace;
 //! 2. the swap boundary is deterministic in the tick domain: every batch that starts service
@@ -10,7 +10,7 @@
 
 use bnn_serve::{
     BatchPolicy, CheckpointReplica, EngineSpec, InferenceEngine, ModelSource, ModelSpec,
-    VersionSwap, WorkloadSpec,
+    NullRecorder, VersionSwap, WorkloadSpec,
 };
 
 fn trace(spec: &ModelSpec, requests: usize) -> Vec<bnn_serve::InferRequest> {
@@ -31,8 +31,11 @@ fn swap_splits_the_trace_at_a_deterministic_tick_boundary() {
     let requests = trace(&v1, 32);
     let engine = InferenceEngine::build(EngineSpec::new(v1.clone()).policy(policy).workers(2));
     let swap_tick = 60;
-    let swapped =
-        engine.run_with_swaps(&requests, &[VersionSwap { at_tick: swap_tick, source: v2.clone() }]);
+    let swapped = engine.run_traced(
+        &requests,
+        &[VersionSwap { at_tick: swap_tick, source: v2.clone() }],
+        &mut NullRecorder,
+    );
 
     // Every request is answered, in order.
     assert_eq!(swapped.responses.len(), requests.len());
@@ -106,11 +109,11 @@ fn swapped_runs_are_worker_invariant() {
     let requests = trace(&v1, 24);
     let swaps = vec![VersionSwap { at_tick: 50, source: v2 }];
     let baseline = InferenceEngine::build(EngineSpec::new(v1.clone()).policy(policy).workers(1))
-        .run_with_swaps(&requests, &swaps);
+        .run_traced(&requests, &swaps, &mut NullRecorder);
     for workers in [2, 3, 8] {
         let parallel =
             InferenceEngine::build(EngineSpec::new(v1.clone()).policy(policy).workers(workers))
-                .run_with_swaps(&requests, &swaps);
+                .run_traced(&requests, &swaps, &mut NullRecorder);
         assert_eq!(
             baseline.responses_json(),
             parallel.responses_json(),
@@ -135,11 +138,11 @@ fn swap_to_a_checkpoint_source_answers_with_the_loaded_posterior() {
     .unwrap();
     let policy = BatchPolicy { max_batch: 4, max_wait_ticks: 6 };
     let requests = trace(&v1, 20);
-    let swapped = InferenceEngine::build(EngineSpec::new(v1).policy(policy).workers(2))
-        .run_with_swaps(
-            &requests,
-            &[VersionSwap { at_tick: 40, source: ModelSource::Checkpoint(checkpoint) }],
-        );
+    let swapped = InferenceEngine::build(EngineSpec::new(v1).policy(policy).workers(2)).run_traced(
+        &requests,
+        &[VersionSwap { at_tick: 40, source: ModelSource::Checkpoint(checkpoint) }],
+        &mut NullRecorder,
+    );
     let v2_only =
         InferenceEngine::build(EngineSpec::new(v2_spec).policy(policy).workers(2)).run(&requests);
     for (i, batch_version) in
@@ -163,7 +166,8 @@ fn unsorted_swap_schedules_are_rejected() {
         VersionSwap { at_tick: 50, source: v2.clone() },
         VersionSwap { at_tick: 10, source: v2 },
     ];
-    let result = std::panic::catch_unwind(|| engine.run_with_swaps(&requests, &swaps));
+    let result =
+        std::panic::catch_unwind(|| engine.run_traced(&requests, &swaps, &mut NullRecorder));
     assert!(result.is_err(), "unsorted swap schedule must panic");
 }
 
@@ -174,7 +178,7 @@ fn runs_without_swaps_are_unchanged_by_the_swap_machinery() {
     let requests = trace(&v1, 16);
     let engine = InferenceEngine::build(EngineSpec::new(v1).policy(policy).workers(2));
     let plain = engine.run(&requests);
-    let empty_swaps = engine.run_with_swaps(&requests, &[]);
+    let empty_swaps = engine.run_traced(&requests, &[], &mut NullRecorder);
     assert_eq!(plain.responses_json(), empty_swaps.responses_json());
     assert_eq!(plain.batches, empty_swaps.batches);
     assert!(plain.batches.iter().all(|b| b.version == 0));

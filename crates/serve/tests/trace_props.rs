@@ -9,12 +9,19 @@
 //!   and carries exactly one terminal answer-or-shed leaf, matching the report's outcome;
 //! * stage attribution tiles an answered request's admit→answer window **exactly** (the
 //!   five named stages sum to 100% of its end-to-end tick latency);
-//! * tracing is free: responses serialize byte-identically with the recorder on or off.
+//! * tracing is free: responses serialize byte-identically with the recorder on or off;
+//! * each of the report's decision lists is the recorded stream filtered to its variant,
+//!   element for element and in order.
+//!
+//! Three scenario shapes share the inputs: least-loaded routing under the random fault plan;
+//! the same with autoscaling and a corrupt checkpoint that cancels a scheduled hot-swap; and
+//! fault-free two-tier routing, which escalates.
 
-use bnn_obs::{assemble_traces, NullRecorder, SpanNode, TraceRecorder};
+use bnn_obs::{assemble_traces, Event, NullRecorder, SpanNode, TraceRecorder};
 use bnn_serve::{
-    ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, DegradeLadder, FaultEvent, FaultPlan,
-    ModelSource, ModelSpec, RequestOutcome, RetryPolicy, RoutingPolicy, ServeMode, WorkloadSpec,
+    ArrivalProcess, AutoscalePolicy, BatchPolicy, Cluster, ClusterConfig, DegradeLadder,
+    FaultEvent, FaultPlan, ModelSource, ModelSpec, RequestOutcome, RetryPolicy, RoutingPolicy,
+    ServeMode, ShardSwap, VersionSwap, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -68,7 +75,12 @@ fn random_fault_plan(shards: usize, down_tick: u64, window: u64, knobs: u32) -> 
     })
 }
 
-fn cluster(shards: usize, queue_cap: usize) -> Cluster {
+fn cluster(
+    shards: usize,
+    queue_cap: usize,
+    routing: RoutingPolicy,
+    autoscale: Option<AutoscalePolicy>,
+) -> Cluster {
     Cluster::new(ClusterConfig {
         source: ModelSource::Spec(ModelSpec::mlp(2021)),
         mode: ServeMode::MonteCarlo,
@@ -77,9 +89,50 @@ fn cluster(shards: usize, queue_cap: usize) -> Cluster {
         batch: BatchPolicy { max_batch: 4, max_wait_ticks: 8 },
         queue_cap,
         deadline_ticks: None,
-        routing: RoutingPolicy::LeastLoaded,
-        autoscale: None,
+        routing,
+        autoscale,
     })
+}
+
+/// One scenario shape per `shape` (see the module docs): the cluster, its per-shard swap
+/// schedule and its fault plan.
+fn scenario(
+    shape: u8,
+    shards: usize,
+    queue_cap: usize,
+    faults: FaultPlan,
+    down_tick: u64,
+) -> (Cluster, Vec<ShardSwap>, FaultPlan) {
+    match shape % 3 {
+        0 => (cluster(shards, queue_cap, RoutingPolicy::LeastLoaded, None), Vec::new(), faults),
+        1 => {
+            let autoscale = AutoscalePolicy {
+                interval_ticks: 16,
+                high_watermark: 2,
+                low_watermark: 1,
+                min_active: 1,
+            };
+            let swap =
+                VersionSwap { at_tick: down_tick, source: ModelSource::Spec(ModelSpec::mlp(3031)) };
+            let mut events = faults.events.clone();
+            events.insert(0, FaultEvent::CorruptCheckpoint { tick: down_tick, shard: 0 });
+            (
+                cluster(shards, queue_cap, RoutingPolicy::LeastLoaded, Some(autoscale)),
+                vec![ShardSwap { shard: 0, swap }],
+                FaultPlan { events, ..faults },
+            )
+        }
+        _ => {
+            let routing =
+                RoutingPolicy::TwoTier { low_samples: 1, high_samples: 4, entropy_threshold: 1.0 };
+            (cluster(shards.max(2), queue_cap, routing, None), Vec::new(), FaultPlan::none())
+        }
+    }
+}
+
+/// The events of one variant in a recorded stream, in recording order.
+fn family(events: &[Event], variant: fn(&Event) -> bool) -> Vec<Event> {
+    events.iter().copied().filter(variant).collect()
 }
 
 /// Terminal (`answer` / `shed`) leaves in a span tree.
@@ -104,21 +157,46 @@ proptest! {
         down_tick in 0u64..200,
         window in 1u64..300,
         knobs in 0u32..u32::MAX,
+        shape in 0u8..3,
     ) {
         let faults = random_fault_plan(shards, down_tick, window, knobs);
+        let (cluster, swaps, faults) = scenario(shape, shards, queue_cap, faults, down_tick);
         let spec = ModelSpec::mlp(2021);
         let trace = WorkloadSpec::uniform(requests, interarrival, 2, 4242)
             .with_arrival(arrival_process(selector))
             .generate(&spec);
-        let cluster = cluster(shards, queue_cap);
 
         let mut rec = TraceRecorder::new();
-        let report = cluster.run_traced(&trace, &[], &faults, &mut rec);
-        let untraced = cluster.run_traced(&trace, &[], &faults, &mut NullRecorder);
+        let report = cluster.run_traced(&trace, &swaps, &faults, &mut rec);
+        let untraced = cluster.run_traced(&trace, &swaps, &faults, &mut NullRecorder);
         prop_assert_eq!(
             untraced.responses_json(),
             report.responses_json(),
             "responses must be byte-identical tracing-on vs tracing-off"
+        );
+
+        // One vocabulary: every decision list is the recorded stream, filtered by variant.
+        let events = rec.events();
+        prop_assert_eq!(&report.sheds, &family(events, |e| matches!(e, Event::Shed { .. })));
+        prop_assert_eq!(
+            &report.escalations,
+            &family(events, |e| matches!(e, Event::Escalation { .. }))
+        );
+        prop_assert_eq!(
+            &report.scale_events,
+            &family(events, |e| matches!(e, Event::Scale { .. }))
+        );
+        prop_assert_eq!(
+            &report.faults.retries,
+            &family(events, |e| matches!(e, Event::Retry { .. }))
+        );
+        prop_assert_eq!(
+            &report.faults.degrades,
+            &family(events, |e| matches!(e, Event::Degrade { .. }))
+        );
+        prop_assert_eq!(
+            &report.faults.checkpoint_faults,
+            &family(events, |e| matches!(e, Event::CheckpointFault { .. }))
         );
 
         let traces = assemble_traces(rec.events())

@@ -8,8 +8,8 @@
 //! came from.
 
 use bnn_serve::{
-    BatchPolicy, CheckpointReplica, EngineSpec, InferenceEngine, ModelSource, ServeMode,
-    VersionSwap, WorkloadSpec,
+    BatchPolicy, CheckpointReplica, EngineSpec, InferenceEngine, ModelSource, NullRecorder,
+    ServeMode, VersionSwap, WorkloadSpec,
 };
 use bnn_store::{Checkpoint, ModelRegistry};
 use bnn_train::data::SyntheticDataset;
@@ -101,12 +101,12 @@ fn hot_swapped_checkpoint_replicas_match_their_dedicated_engine() {
     let swaps = [VersionSwap { at_tick: 45, source: v2.clone() }];
 
     let baseline = InferenceEngine::build(EngineSpec::new(v1.clone()).policy(policy).workers(1))
-        .run_with_swaps(&requests, &swaps);
+        .run_traced(&requests, &swaps, &mut NullRecorder);
     // 1-vs-N workers: byte-identical, swap schedule included.
     for workers in [2, 4] {
         let parallel =
             InferenceEngine::build(EngineSpec::new(v1.clone()).policy(policy).workers(workers))
-                .run_with_swaps(&requests, &swaps);
+                .run_traced(&requests, &swaps, &mut NullRecorder);
         assert_eq!(baseline.responses_json(), parallel.responses_json());
         assert_eq!(baseline.batches, parallel.batches);
     }

@@ -11,7 +11,9 @@
 //!
 //! Run with: `cargo run --example train_save_serve`
 
-use bnn_serve::{BatchPolicy, EngineSpec, InferenceEngine, VersionSwap, WorkloadSpec};
+use bnn_serve::{
+    BatchPolicy, EngineSpec, InferenceEngine, NullRecorder, VersionSwap, WorkloadSpec,
+};
 use bnn_store::{Checkpoint, ModelRegistry};
 use bnn_train::data::SyntheticDataset;
 use bnn_train::network::Network;
@@ -74,7 +76,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .policy(BatchPolicy { max_batch: 4, max_wait_ticks: 8 })
             .workers(2),
     );
-    let report = engine.run_with_swaps(&trace, &[VersionSwap { at_tick: 70, source: v2_source }]);
+    let report = engine.run_traced(
+        &trace,
+        &[VersionSwap { at_tick: 70, source: v2_source }],
+        &mut NullRecorder,
+    );
     let boundary = report.batches.iter().find(|b| b.version == 1).expect("swap lands");
     println!(
         "served {} requests across the swap: v1 drained {} batch(es), v2 answered from tick {} \

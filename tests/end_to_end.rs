@@ -5,8 +5,9 @@
 use bnn_models::workload::ModelVolume;
 use bnn_models::ModelKind;
 use bnn_serve::{
-    BatchPolicy, Cluster, ClusterConfig, EngineSpec, FaultEvent, FaultPlan, InferenceEngine,
-    RequestOutcome, RetryPolicy, RoutingPolicy, ServeMode, ShardSwap, VersionSwap, WorkloadSpec,
+    BatchPolicy, Cluster, ClusterConfig, EngineSpec, Event, FaultEvent, FaultPlan, InferenceEngine,
+    NullRecorder, RequestOutcome, RetryPolicy, RoutingPolicy, ServeMode, ShardSwap, VersionSwap,
+    WorkloadSpec,
 };
 use bnn_store::{Checkpoint, ModelRegistry};
 use bnn_train::data::SyntheticDataset;
@@ -117,7 +118,7 @@ fn gpu_comparison_matches_figure_12_shape() {
 /// The serving lifecycle at cluster scale: train a posterior, publish two versions to the
 /// [`ModelRegistry`], serve the registry-loaded v1 through the sharded cluster router, and
 /// hot-swap one shard to v2 mid-trace. The swapped shard must behave exactly like a
-/// standalone [`InferenceEngine::run_with_swaps`] over the sub-trace the router admitted to
+/// standalone [`InferenceEngine::run_traced`] over the sub-trace the router admitted to
 /// it — same answers before the swap boundary, same answers after, same batch versioning.
 #[test]
 fn cluster_serves_registry_versions_across_a_hot_swap() {
@@ -162,7 +163,7 @@ fn cluster_serves_registry_versions_across_a_hot_swap() {
         shard: 1,
         swap: VersionSwap { at_tick: swap_tick, source: v2_source.clone() },
     }];
-    let report = cluster.run_with_swaps(&trace, &swaps);
+    let report = cluster.run_traced(&trace, &swaps, &FaultPlan::none(), &mut NullRecorder);
     assert!(report.sheds.is_empty(), "nothing sheds under a cap of 64");
 
     // The un-swapped shard serves v1 throughout; the swapped one crosses the boundary.
@@ -186,8 +187,11 @@ fn cluster_serves_registry_versions_across_a_hot_swap() {
         .collect();
     assert!(!sub_trace.is_empty());
     let engine = InferenceEngine::build(EngineSpec::new(v1_source).policy(batch).workers(1));
-    let solo =
-        engine.run_with_swaps(&sub_trace, &[VersionSwap { at_tick: swap_tick, source: v2_source }]);
+    let solo = engine.run_traced(
+        &sub_trace,
+        &[VersionSwap { at_tick: swap_tick, source: v2_source }],
+        &mut NullRecorder,
+    );
     assert_eq!(
         solo.to_json().to_pretty(),
         report.shard_reports[1].to_json().to_pretty(),
@@ -256,7 +260,7 @@ fn corrupt_checkpoint_falls_back_and_the_cluster_rides_out_a_crash() {
         FaultEvent::ShardUp { tick: 48, shard: 0 },
     ])
     .with_retry(RetryPolicy { base_backoff_ticks: 8, max_backoff_ticks: 64, max_retries: 4 });
-    let report = cluster.run_with_faults(&trace, &[], &faults);
+    let report = cluster.run_traced(&trace, &[], &faults, &mut NullRecorder);
     assert!(report.sheds.is_empty(), "a crash with retries and a roomy queue loses nothing");
     assert_eq!(report.answered(), report.submitted());
     assert!((report.availability() - 1.0).abs() < 1e-12);
@@ -265,7 +269,10 @@ fn corrupt_checkpoint_falls_back_and_the_cluster_rides_out_a_crash() {
         "the crash at tick 20 must evict an open batch into failover"
     );
     for event in &report.faults.retries {
-        assert_eq!(event.shard, Some(0), "only the crashed shard evicts");
+        assert!(
+            matches!(event, Event::Retry { shard: Some(0), .. }),
+            "only the crashed shard evicts: {event:?}"
+        );
     }
 }
 
